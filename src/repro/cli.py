@@ -540,7 +540,6 @@ def cmd_run(args) -> int:
     )
     from repro.runner.cache import ResultCache
     from repro.runner.checkpoint import CheckpointManager
-    from repro.trace.columnar import ColumnarTrace
 
     # Trace files are read lazily so a corrupt file is contained inside
     # its own cells instead of aborting the whole sweep at load time.
@@ -551,13 +550,6 @@ def cmd_run(args) -> int:
         traces.append(_make_any_trace(workload, length=args.length))
     if not traces:
         traces = [_make_any_trace("pops", length=args.length)]
-    if args.columnar:
-        # Opt-in fast path: pack eagerly-loaded traces into columns
-        # (bit-identical results; lazy files keep their containment).
-        traces = [
-            ColumnarTrace.from_trace(trace) if isinstance(trace, Trace) else trace
-            for trace in traces
-        ]
 
     plan = ExecutionPlan(
         traces=traces,
@@ -1189,10 +1181,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache cell results in DIR, keyed by trace content + scheme + config",
     )
     run.add_argument(
-        "--columnar", action="store_true",
-        help="pack in-memory traces into columns for the simulator fast path",
-    )
-    run.add_argument(
         "--progress", action="store_true",
         help="per-cell timing/retry/cache lines and an engine counter summary",
     )
@@ -1346,7 +1334,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workers", type=int, default=3, metavar="N")
     chaos.add_argument(
         "--seed", type=int, default=0,
-        help="seeds the victim/kill-point choice (equal seeds, same kill)",
+        help="seeds the target cell and kill point (equal seeds, same kill)",
     )
     chaos.add_argument(
         "--no-kill", action="store_true",

@@ -15,6 +15,11 @@ Methodology choices match the paper:
 * **Instructions** cause no coherence traffic and are not charged.
 * **Sharing is keyed by process** (pid) by default; ``sharer_key="cpu"``
   switches to the processor-sharing view (Section 4.4).
+
+Every input is simulated from packed columns (``docs/PERFORMANCE.md``),
+in a state-table kernel where one applies.  The per-record loop
+(:meth:`Simulator._run_records`) runs only under invariant checking and
+is the reference the differential tests hold every other path to.
 """
 
 from __future__ import annotations
@@ -27,13 +32,17 @@ from repro.core.result import SimulationResult
 from repro.errors import ConfigurationError
 from repro.memory.address import BlockMapper
 from repro.protocols.base import CoherenceProtocol
-from repro.protocols.kernels import kernel_run, open_kernel_session
+from repro.protocols.kernels import flush_batches, open_kernel_session, too_many_sharers
 from repro.protocols.registry import make_protocol
 from repro.trace.columnar import TYPE_READ, ColumnarTrace
 from repro.trace.record import RefType, TraceRecord
 from repro.trace.stream import Trace
 
 _SHARER_KEYS = ("pid", "cpu")
+
+#: Records packed per batch when simulating a raw record stream, so an
+#: unbounded stream runs in bounded memory.
+STREAM_BATCH = 1 << 14
 
 
 class SimulationContext:
@@ -89,9 +98,6 @@ class Simulator:
                 raise ConfigurationError("check_invariants interval must be >= 0")
             self.check_interval = int(check_invariants)
 
-    def _sharer_of(self, record: TraceRecord) -> int:
-        return record.pid if self.sharer_key == "pid" else record.cpu
-
     def run(
         self,
         trace: Trace | ColumnarTrace | Iterable[TraceRecord],
@@ -103,15 +109,15 @@ class Simulator:
     ) -> SimulationResult:
         """Simulate *protocol* over *trace* and return the measurements.
 
-        A :class:`~repro.trace.columnar.ColumnarTrace` input takes the
-        columnar fast path, which produces a result identical to the
-        record path (see ``docs/PERFORMANCE.md``); any other input is
-        processed record by record.
+        A :class:`~repro.trace.stream.Trace` runs from its memoized
+        :meth:`~repro.trace.stream.Trace.columnar` form and a raw record
+        stream is packed in batches of :data:`STREAM_BATCH`; invariant
+        checking takes the per-record loop instead, with equal results.
 
         Args:
             trace: a :class:`~repro.trace.stream.Trace`, a
-                :class:`~repro.trace.columnar.ColumnarTrace`, or any
-                iterable of records.
+                :class:`~repro.trace.columnar.ColumnarTrace`, a chunked
+                store trace, or any iterable of records.
             protocol: a protocol instance, or a registry name to build.
             num_caches: machine size when building by name; inferred
                 from a materialized trace's sharer ids when omitted.
@@ -121,46 +127,47 @@ class Simulator:
                 same context and protocol instance to every segment).
             protocol_options: forwarded to the protocol factory.
         """
-        if isinstance(trace, (Trace, ColumnarTrace)) or hasattr(trace, "iter_chunks"):
-            records: Iterable[TraceRecord] = trace.records
-            name = trace_name or trace.name
+        if self.check_interval:
+            return self._run_records(
+                trace, protocol, num_caches, trace_name, context, **protocol_options
+            )
+        records, name = _records_and_name(trace, trace_name)
+        if isinstance(trace, Trace) and (packed := trace.columnar()) is not None:
+            trace = packed  # lazily read records have no memo: streamed below
+        built = self._resolve_protocol(protocol, trace, num_caches, protocol_options)
+        result = SimulationResult(scheme=built.name, trace_name=name)
+        context = context or SimulationContext()
+        if isinstance(trace, ColumnarTrace):
+            chunks: Iterable[ColumnarTrace] = (trace,)
+        elif hasattr(trace, "iter_chunks"):
+            chunks = trace.iter_chunks()
         else:
-            records = trace
-            name = trace_name or "stream"
+            chunks = ColumnarTrace.batches(records, STREAM_BATCH, name)
+        return self._run_chunks(chunks, built, result, context)
 
+    def _run_records(
+        self, trace: Any, protocol: CoherenceProtocol | str,
+        num_caches: int | None = None, trace_name: str | None = None,
+        context: SimulationContext | None = None, **protocol_options: Any,
+    ) -> SimulationResult:
+        """:meth:`run` one record at a time: the reference implementation.
+
+        Taken when invariant checking is on (the checker needs a per
+        data reference cadence); differential tests and benchmarks call
+        it directly to hold every columnar path to its results.
+        """
+        records, name = _records_and_name(trace, trace_name)
         built = self._resolve_protocol(protocol, trace, num_caches, protocol_options)
         result = SimulationResult(scheme=built.name, trace_name=name)
         checker = InvariantChecker(built) if self.check_interval else None
-
         context = context or SimulationContext()
-        if checker is None and hasattr(trace, "iter_chunks"):
-            # Chunk-streamed simulation: decode and feed one chunk at a
-            # time, so peak memory is bounded by the chunk size, not the
-            # trace.  (The invariant checker needs the record path's
-            # per-data-ref cadence, same as the columnar fast path.)
-            return self._run_chunked(trace, built, result, context)
-        if isinstance(trace, ColumnarTrace) and checker is None:
-            # Invariant checking needs the per-data-ref cadence of the
-            # record path, so it opts out of the fast path.
-            if type(trace) is ColumnarTrace:
-                # State-table kernels for the exact stock protocols;
-                # they bail (return None) on wrappers, finite caches,
-                # or any state outside their verified encoding.
-                ran = kernel_run(self, trace, built, result, context)
-                if ran is not None:
-                    return ran
-            return self._run_columnar(trace, built, result, context)
 
         sharer_index = context.sharer_index
         seen_blocks = context.seen_blocks
         seen_add = seen_blocks.add
         data_refs = 0
 
-        # Hoisted per-record overheads (satellite of the columnar fast
-        # path, but these pay off on the record path too): the sharer
-        # key resolves to one attrgetter per run instead of a string
-        # compare per record, and the sharer -> cache-index mapping uses
-        # a plain get instead of allocating a setdefault default.
+        # Hoisted: one attrgetter per run, not a sharer-key test per record.
         sharer_of = attrgetter(self.sharer_key)
         sharer_lookup = sharer_index.get
         block_of = self.block_mapper.block_of
@@ -182,10 +189,7 @@ class Simulator:
             if cache is None:
                 cache = len(sharer_index)
                 if cache >= num_caches_limit:
-                    raise ConfigurationError(
-                        f"trace contains more than num_caches={num_caches_limit} "
-                        f"distinct sharers (sharer id {sharer})"
-                    )
+                    raise too_many_sharers(num_caches_limit, sharer)
                 sharer_index[sharer] = cache
             block = block_of(record.address)
             first_ref = block not in seen_blocks
@@ -210,17 +214,17 @@ class Simulator:
         result: SimulationResult,
         context: SimulationContext,
     ) -> SimulationResult:
-        """The columnar fast path: iterate packed columns, not records.
+        """The generic columnar loop, for protocols without a kernel.
 
-        Produces a result identical to the record path (the differential
-        test in ``tests/test_columnar_differential.py`` holds this for
-        every registered protocol): the same protocol calls are made in
-        the same order with the same arguments, and accumulation is
-        batched only across runs of the *same* shared outcome instance.
-        Instruction fetches never reach the protocol and are counted in
-        bulk.  ``context.records_done`` is updated once per call, so on
-        an exception mid-run the context must be discarded (callers that
-        retry — the resilient runner — always restart from a snapshot).
+        Produces a result identical to :meth:`_run_records` (the
+        differential tests hold this for every registered protocol): the
+        same protocol calls are made in the same order with the same
+        arguments, and accumulation is batched only across runs of the
+        *same* shared outcome instance.  Instruction fetches never reach
+        the protocol and are counted in bulk.  ``context.records_done``
+        is updated once per call, so on an exception mid-run the context
+        must be discarded (callers that retry always restart from a
+        snapshot).
         """
         instr_count, type_codes, sharer_col, addresses = (
             trace.data_view(self.sharer_key)
@@ -234,7 +238,6 @@ class Simulator:
         num_caches_limit = built.num_caches
         on_read = built.on_read
         on_write = built.on_write
-        record_batch = result.record_batch
         read = TYPE_READ
 
         # Outcomes are gathered into identity-keyed batches: protocols
@@ -252,10 +255,7 @@ class Simulator:
             if cache is None:
                 cache = len(sharer_index)
                 if cache >= num_caches_limit:
-                    raise ConfigurationError(
-                        f"trace contains more than num_caches={num_caches_limit} "
-                        f"distinct sharers (sharer id {sharer})"
-                    )
+                    raise too_many_sharers(num_caches_limit, sharer)
                 sharer_index[sharer] = cache
             block = address >> shift
             before = seen_len()
@@ -277,26 +277,18 @@ class Simulator:
                     entry[1] += run_length
                 previous = outcome
                 run_length = 1
-        if previous is not None:
-            entry = pending_lookup(id(previous))
-            if entry is None:
-                pending[id(previous)] = [previous, run_length]
-            else:
-                entry[1] += run_length
-        for outcome, count in pending.values():
-            record_batch(outcome, count)
-        result.record_instructions(instr_count)
+        flush_batches(result, pending, previous, run_length, instr_count)
         context.records_done += len(trace)
         return result
 
-    def _run_chunked(
+    def _run_chunks(
         self,
-        trace: Any,
+        chunks: Iterable[ColumnarTrace],
         built: CoherenceProtocol,
         result: SimulationResult,
         context: SimulationContext,
     ) -> SimulationResult:
-        """Bounded-memory simulation of a chunked on-disk trace.
+        """Simulate a trace delivered as a sequence of columnar chunks.
 
         When a state-table kernel applies, the protocol state is
         imported into the compact encoding once and stays resident
@@ -304,15 +296,15 @@ class Simulator:
         otherwise each chunk runs through the generic columnar loop with
         the shared context and result, which — because accumulation is
         purely additive and the context carries all cross-chunk state —
-        is exactly one continuous run.  Either way at most one decoded
-        chunk is live at a time.
+        is exactly one continuous run.  At most one chunk is live at a
+        time, so a chunked store or raw stream runs in bounded memory.
         """
         session = open_kernel_session(self, built, result, context)
         if session is not None:
-            for chunk in trace.iter_chunks():
+            for chunk in chunks:
                 session.run_chunk(chunk)
             return session.finish()
-        for chunk in trace.iter_chunks():
+        for chunk in chunks:
             self._run_columnar(chunk, built, result, context)
         return result
 
@@ -343,6 +335,15 @@ class Simulator:
                 )
             num_caches = max(1, len(sharers))
         return make_protocol(protocol, num_caches, **options)
+
+
+def _records_and_name(
+    trace: Any, trace_name: str | None
+) -> tuple[Iterable[TraceRecord], str]:
+    """A trace container's records and label; a raw stream is its own."""
+    if isinstance(trace, (Trace, ColumnarTrace)) or hasattr(trace, "iter_chunks"):
+        return trace.records, trace_name or trace.name
+    return trace, trace_name or "stream"
 
 
 def simulate(

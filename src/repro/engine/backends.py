@@ -14,7 +14,8 @@ The pooled backend's dispatch path is built for throughput:
 * **warm workers** — pools are module-level and keyed by worker count,
   so consecutive sweeps (a scheduler draining jobs, a benchmark loop)
   reuse live worker processes instead of re-forking per sweep;
-* **shared-memory traces** — every :class:`ColumnarTrace` in the sweep
+* **shared-memory traces** — every :class:`ColumnarTrace` in the sweep,
+  and every materialized :class:`Trace` in its memoized columnar form,
   is packed once into a :class:`~repro.engine.shm.TraceArena`; cell
   descriptors then carry a small arena index instead of a pickled
   trace (see ``repro/engine/shm.py``);
@@ -396,19 +397,23 @@ class ProcessPoolBackend:
                     spec_memo[memo_key] = None
             return spec_memo[memo_key]
 
-        # Pack every columnar trace referenced by a shippable cell into
-        # one shared-memory arena for the whole sweep; cells then name
-        # their trace by index instead of shipping its bytes per batch.
+        # Pack every columnar trace referenced by a shippable cell — a
+        # Trace by its memoized columns — into one shared-memory arena
+        # for the whole sweep; cells then name their trace by index
+        # instead of shipping its bytes per batch.
         arena_index: dict[int, int] = {}
         unique_columnar: list[ColumnarTrace] = []
         for task in tasks:
+            columns = task.trace
+            if isinstance(columns, Trace):
+                columns = columns.columnar()  # None when read lazily
             if (
-                isinstance(task.trace, ColumnarTrace)
+                isinstance(columns, ColumnarTrace)
                 and id(task.trace) not in arena_index
                 and spec_blob(task.spec) is not None
             ):
                 arena_index[id(task.trace)] = len(unique_columnar)
-                unique_columnar.append(task.trace)
+                unique_columnar.append(columns)
         arena = TraceArena.create(unique_columnar) if unique_columnar else None
         if arena is None:
             arena_index.clear()

@@ -41,6 +41,7 @@ from repro.runner.checkpoint import (
     result_from_json,
     result_to_json,
 )
+from repro.trace.stream import Trace
 
 from repro.engine.backends import ProcessPoolBackend, run_cell
 from repro.engine.observer import (
@@ -347,7 +348,11 @@ class Engine:
             accumulated = None
             position = 0
 
-        records = trace.records
+        # Window a Trace through its memoized columns: slices of a
+        # ColumnarTrace stay columnar, so every scheme's windows reuse
+        # one packing instead of repacking a list slice per window.
+        packed = trace.columnar() if isinstance(trace, Trace) else None
+        records = (packed or trace).records
         total = len(trace)
         while position < total:
             segment = records[position : position + self.checkpoint_every]

@@ -6,12 +6,15 @@ or ``make chaos``):
 1. run the sweep **serially** through the engine — the ground truth;
 2. submit the same sweep to a fresh fabric database and start N real
    ``repro work`` processes on it;
-3. one worker — chosen by a seeded
-   :class:`~repro.runner.faults.FaultInjector` kill plan — carries
-   ``REPRO_CHAOS_KILL`` in its environment and SIGKILLs *itself* after
-   an exact number of completed data references inside an exact lease
+3. every worker carries ``REPRO_CHAOS_KILL`` in its environment, naming
+   one target cell — chosen by a seeded
+   :class:`~repro.runner.faults.FaultInjector` kill plan — and a
+   reference count.  Whichever worker leases that cell first SIGKILLs
+   *itself* after exactly that many completed data references
    (:class:`~repro.runner.faults.ProcessKiller`), i.e. genuinely
-   mid-cell, heartbeat thread and all;
+   mid-cell, heartbeat thread and all.  The kill is armed on the cell,
+   not on a worker, so it lands however the workers race for the
+   queue;
 4. the survivors reap the orphaned lease, re-run the cell, and drain
    the queue;
 5. the harness then asserts, from the queue's own accounting:
@@ -26,7 +29,8 @@ or ``make chaos``):
      exhausted budget).
 
 Everything is deterministic under ``--seed``: the same seed picks the
-same victim, the same lease, the same reference count.
+same cell and the same reference count.  Which worker dies depends on
+scheduling; the report names the one that did.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from repro.service.spec import JobSpec, parse_job_spec
 
 from repro.fabric.queue import DurableCellQueue
 
-#: Environment variable arming a worker's self-kill: ``"<lease>:<refs>"``.
+#: Environment variable arming a worker's self-kill: ``"<cell>:<refs>"``.
 ENV_KILL = "REPRO_CHAOS_KILL"
 
 #: The default chaos sweep: enough cells that 3 workers all get work.
@@ -67,25 +71,26 @@ def hook_from_env(
 ):
     """The worker protocol hook armed by :data:`ENV_KILL`, or ``None``.
 
-    The variable's value is ``"<lease index>:<refs>"``: on this
-    worker's *lease index*-th lease (0-based), wrap the protocol so the
-    process SIGKILLs itself after *refs* completed data references.
-    ``repro work`` installs this hook automatically, which is how the
-    harness reaches inside a real worker process deterministically.
+    The variable's value is ``"<cell>:<refs>"``: on the first attempt at
+    the job's cell with index *cell* (sweep order), wrap the protocol so
+    the process SIGKILLs itself after *refs* completed data references.
+    Later attempts — the reassigned copy — run clean.  ``repro work``
+    installs this hook automatically, which is how the harness reaches
+    inside a real worker process deterministically.
     """
     environ = os.environ if environ is None else environ
     raw = environ.get(ENV_KILL)
     if not raw:
         return None
     try:
-        lease_index, refs = (int(part) for part in raw.split(":"))
+        cell_index, refs = (int(part) for part in raw.split(":"))
     except ValueError as exc:
         raise ConfigurationError(
-            f"{ENV_KILL} must be '<lease>:<refs>', got {raw!r}"
+            f"{ENV_KILL} must be '<cell>:<refs>', got {raw!r}"
         ) from exc
 
     def hook(worker, cell, protocol):
-        if worker.leases - 1 == lease_index:
+        if cell.index == cell_index and cell.attempts == 1:
             return ProcessKiller(protocol, refs)
         return protocol
 
@@ -155,8 +160,7 @@ def run_chaos(
     workers: int = 3,
     seed: int = 0,
     kill: bool = True,
-    kill_worker: int | None = None,
-    kill_lease: int = 0,
+    kill_cell: int | None = None,
     kill_refs: int | None = None,
     lease_s: float = 3.0,
     timeout_s: float = 300.0,
@@ -169,12 +173,12 @@ def run_chaos(
             omitted) — the fleet-wide dedup layer under test.
         spec_payload: JSON job spec (default: :data:`DEFAULT_SPEC`).
         workers: fleet size (real ``repro work`` processes).
-        seed: seeds the :class:`FaultInjector` that picks the victim
-            and the kill reference count.
+        seed: seeds the :class:`FaultInjector` that picks the target
+            cell and the kill reference count.
         kill: run the control scenario instead when False (no victim).
-        kill_worker: victim index override (seeded pick when None).
-        kill_lease: which of the victim's leases dies (0 = its first
-            cell, guaranteeing the kill lands before the queue drains).
+        kill_cell: index of the cell whose first attempt dies (seeded
+            pick when None).  Every worker is armed with it, so the kill
+            lands whichever worker leases the cell.
         kill_refs: data references completed before the SIGKILL
             (seeded pick when None).
         lease_s: fleet lease duration — kept short so the orphaned
@@ -188,9 +192,10 @@ def run_chaos(
     cache_dir = Path(cache_dir) if cache_dir is not None else db.parent / "cache"
     spec = parse_job_spec(dict(spec_payload or DEFAULT_SPEC))
 
-    injector = FaultInjector(seed)
-    planned_worker, _, planned_refs = injector.kill_plan(workers, max_refs=200)
-    victim = kill_worker if kill_worker is not None else planned_worker
+    planned_cell, planned_refs = FaultInjector(seed).kill_plan(
+        spec.cell_count(), max_refs=200
+    )
+    target = kill_cell if kill_cell is not None else planned_cell
     refs = kill_refs if kill_refs is not None else planned_refs
 
     expected = serial_results(spec)
@@ -207,14 +212,13 @@ def run_chaos(
     deadline = time.monotonic() + timeout_s
     try:
         for number in range(workers):
-            is_victim = kill and number == victim
             processes.append(
                 _spawn_worker(
                     db=db,
                     cache_dir=cache_dir,
                     worker_id=f"chaos-w{number}",
                     lease_s=lease_s,
-                    kill=(kill_lease, refs) if is_victim else None,
+                    kill=(target, refs) if kill else None,
                 )
             )
         exit_codes: list[int | None] = [None] * workers
@@ -235,9 +239,9 @@ def run_chaos(
                 process.kill()
                 process.wait(timeout=10.0)
 
-    victim_killed = (
-        kill and exit_codes[victim] == -signal.SIGKILL
-    )
+    killed = [
+        number for number, code in enumerate(exit_codes) if code == -signal.SIGKILL
+    ]
     stats = queue.stats()
     assembled = queue.assemble(job_id)
     fabric_digest = canonical_digest(assembled["results"])
@@ -245,7 +249,7 @@ def run_chaos(
 
     expected_reassignments = 1 if kill else 0
     checks = {
-        "victim_killed": victim_killed or not kill,
+        "victim_killed": len(killed) == (1 if kill else 0),
         "job_done": queue.job_state(job_id) == "done",
         "no_failures": not assembled["failures"],
         "digest_match": fabric_digest == serial_digest,
@@ -259,8 +263,8 @@ def run_chaos(
         "checks": checks,
         "kill": {
             "enabled": kill,
-            "worker": victim,
-            "lease": kill_lease,
+            "worker": killed[0] if killed else None,
+            "cell": target,
             "refs": refs,
             "seed": seed,
         },

@@ -207,11 +207,8 @@ class FabricWorker:
         (:class:`~repro.store.chunked.ChunkedTrace`), whose fingerprint
         is memoized by ``(path, mtime, size)``: re-hashing a
         multi-gigabyte ``.ctrc`` per cell would dominate the sweep, and
-        any rewrite of the file changes the stat signature.  Memoized
-        traces are stored columnar so every cell leasing the same
-        workload rides the simulator's table-kernel fast path (the
-        fingerprint is representation independent, so cache keys do not
-        change).
+        any rewrite of the file changes the stat signature.  Workload
+        traces are built columnar, so the memo holds no record objects.
         """
         tspec = TraceSpec(**spec_dict)
         if tspec.path is not None:
@@ -236,9 +233,7 @@ class FabricWorker:
         memo_key = json.dumps(spec_dict, sort_keys=True)
         entry = self._traces.get(memo_key)
         if entry is None:
-            from repro.trace.columnar import ColumnarTrace
-
-            trace = ColumnarTrace.from_trace(tspec.build())
+            trace = tspec.build()
             entry = (trace, trace_fingerprint(trace))
             if len(self._traces) >= 32:
                 self._traces.pop(next(iter(self._traces)))

@@ -1,6 +1,6 @@
 """Table-driven columnar kernels for the paper's hot protocols.
 
-The generic columnar fast path (``Simulator._run_columnar``) still pays
+The generic columnar loop (``Simulator._run_columnar``) still pays
 per-reference *method dispatch*: every data reference walks
 ``on_read``/``on_write`` through cache-model calls, directory
 bookkeeping, and ``ProtocolResult`` construction.  For the four
@@ -22,12 +22,12 @@ Each kernel is split into three stages so chunk-streamed simulation
   caches and directory, exactly as the object model would have left
   them.
 
-:func:`kernel_run` composes all three for a single in-memory trace;
-:func:`open_kernel_session` returns a :class:`KernelSession` that
-imports once, loops over any number of chunks with the compact
-(interned sharer-bitmask) state resident in between, and exports once
-at :meth:`KernelSession.finish` — so a multi-gigabyte chunked trace
-never materializes per-chunk object-model state.
+:func:`open_kernel_session` composes all three: it returns a
+:class:`KernelSession` that imports once, loops over any number of
+chunks with the compact (interned sharer-bitmask) state resident in
+between, and exports once at :meth:`KernelSession.finish` — so a
+multi-gigabyte chunked trace or a batch-packed record stream never
+materializes per-chunk object-model state.  ``Simulator.run`` drives every input through such a session.
 
 Bit-identity contract
 ---------------------
@@ -258,14 +258,14 @@ def _infinite_lines(protocol: Any) -> list[dict] | None:
     return lines
 
 
-def _too_many_sharers(limit: int, sharer: int) -> ConfigurationError:
+def too_many_sharers(limit: int, sharer: int) -> ConfigurationError:
     return ConfigurationError(
         f"trace contains more than num_caches={limit} "
         f"distinct sharers (sharer id {sharer})"
     )
 
 
-def _flush_batches(
+def flush_batches(
     result: Any,
     pending: dict[int, list],
     previous: ProtocolResult | None,
@@ -386,7 +386,7 @@ def _loop_dir0b(
         if cache is None:
             cache = len(sharer_index)
             if cache >= limit:
-                raise _too_many_sharers(limit, sharer)
+                raise too_many_sharers(limit, sharer)
             sharer_index[sharer] = cache
         block = address >> shift
         if block in seen:
@@ -554,7 +554,7 @@ def _loop_dir1nb(
         if cache is None:
             cache = len(sharer_index)
             if cache >= limit:
-                raise _too_many_sharers(limit, sharer)
+                raise too_many_sharers(limit, sharer)
             sharer_index[sharer] = cache
         block = address >> shift
         if block in seen:
@@ -675,7 +675,7 @@ def _loop_wti(
         if cache is None:
             cache = len(sharer_index)
             if cache >= limit:
-                raise _too_many_sharers(limit, sharer)
+                raise too_many_sharers(limit, sharer)
             sharer_index[sharer] = cache
         block = address >> shift
         if block in seen:
@@ -804,7 +804,7 @@ def _loop_dragon(
         if cache is None:
             cache = len(sharer_index)
             if cache >= limit:
-                raise _too_many_sharers(limit, sharer)
+                raise too_many_sharers(limit, sharer)
             sharer_index[sharer] = cache
         block = address >> shift
         if block in seen:
@@ -1077,7 +1077,7 @@ def _loop_dir0b_finite(
         if cache is None:
             cache = len(sharer_index)
             if cache >= limit:
-                raise _too_many_sharers(limit, sharer)
+                raise too_many_sharers(limit, sharer)
             sharer_index[sharer] = cache
         block = address >> shift
         if block in seen:
@@ -1291,7 +1291,7 @@ def _loop_dir1nb_finite(
         if cache is None:
             cache = len(sharer_index)
             if cache >= limit:
-                raise _too_many_sharers(limit, sharer)
+                raise too_many_sharers(limit, sharer)
             sharer_index[sharer] = cache
         block = address >> shift
         if block in seen:
@@ -1454,7 +1454,7 @@ def _loop_wti_finite(
         if cache is None:
             cache = len(sharer_index)
             if cache >= limit:
-                raise _too_many_sharers(limit, sharer)
+                raise too_many_sharers(limit, sharer)
             sharer_index[sharer] = cache
         block = address >> shift
         if block in seen:
@@ -1654,7 +1654,7 @@ def _loop_dragon_finite(
         if cache is None:
             cache = len(sharer_index)
             if cache >= limit:
-                raise _too_many_sharers(limit, sharer)
+                raise too_many_sharers(limit, sharer)
             sharer_index[sharer] = cache
         block = address >> shift
         if block in seen:
@@ -1803,8 +1803,8 @@ class KernelSession:
     only in the compact encoding (interned per-block sharer bitmasks
     and owner ids) — the object model is reconstructed exactly once, at
     :meth:`finish`.  Identity-run batching spans chunk boundaries, so
-    the accumulated result is bit-identical to one continuous
-    :func:`kernel_run` over the concatenated trace.
+    the accumulated result is bit-identical to one session over the
+    concatenated trace in a single chunk.
     """
 
     __slots__ = (
@@ -1864,7 +1864,7 @@ class KernelSession:
             return self._result
         self._finished = True
         self._export(self._protocol, self._state)
-        _flush_batches(
+        flush_batches(
             self._result,
             self._pending,
             self._previous,
@@ -1904,24 +1904,3 @@ def open_kernel_session(
                 simulator, protocol, result, context, state, loop, export
             )
     return None
-
-
-def kernel_run(
-    simulator: Any,
-    trace: ColumnarTrace,
-    protocol: Any,
-    result: Any,
-    context: Any,
-) -> Any | None:
-    """Run *trace* through a state-table kernel if one safely applies.
-
-    Returns the completed result, or None when no kernel exists for the
-    protocol's exact type or the live state fails an import invariant —
-    the caller then falls back to the generic columnar loop.  A None
-    return guarantees the protocol and context are untouched.
-    """
-    session = open_kernel_session(simulator, protocol, result, context)
-    if session is None:
-        return None
-    session.run_chunk(trace)
-    return session.finish()

@@ -83,7 +83,12 @@ def measure_schemes(
     repeats: int = DEFAULT_REPEATS,
     warmup: int = DEFAULT_WARMUP,
 ) -> dict[str, dict[str, Any]]:
-    """Serial columnar vs record-path throughput per scheme."""
+    """Serial columnar vs record-loop throughput per scheme.
+
+    The record side is the reference per-record loop
+    (``Simulator._run_records``), which ``Simulator.run`` no longer
+    takes for any input.
+    """
     from repro.core.simulator import Simulator
     from repro.trace.columnar import ColumnarTrace
 
@@ -93,9 +98,10 @@ def measure_schemes(
     refs = len(trace)
     report: dict[str, dict[str, Any]] = {}
     for scheme in schemes:
-        assert simulator.run(columnar, scheme) == simulator.run(trace, scheme)
+        reference = simulator._run_records(trace, scheme)
+        assert simulator.run(columnar, scheme) == reference
         record_s = _best_seconds(
-            lambda s=scheme: simulator.run(trace, s), repeats, warmup
+            lambda s=scheme: simulator._run_records(trace, s), repeats, warmup
         )
         columnar_s = _best_seconds(
             lambda s=scheme: simulator.run(columnar, s), repeats, warmup
@@ -124,9 +130,9 @@ def measure_finite(
     Runs each scheme's capacity-aware state-table kernel (LRU sets,
     replacement write-backs) against the same trace the infinite kernel
     measures, after asserting the columnar finite result matches the
-    record path bit for bit.  ``slowdown_vs_infinite`` is the headline:
-    the finite kernels are expected to stay within 2x of the infinite
-    ones (they do strictly more work per reference).
+    reference record loop bit for bit.  ``slowdown_vs_infinite`` is the
+    headline: the finite kernels are expected to stay within 2x of the
+    infinite ones (they do strictly more work per reference).
     """
     from repro.core.simulator import Simulator
     from repro.trace.columnar import ColumnarTrace
@@ -137,9 +143,8 @@ def measure_finite(
     refs = len(trace)
     entries: dict[str, dict[str, Any]] = {}
     for scheme in schemes:
-        assert simulator.run(columnar, scheme, geometry=geometry) == simulator.run(
-            trace, scheme, geometry=geometry
-        )
+        reference = simulator._run_records(trace, scheme, geometry=geometry)
+        assert simulator.run(columnar, scheme, geometry=geometry) == reference
         finite_s = _best_seconds(
             lambda s=scheme: simulator.run(columnar, s, geometry=geometry),
             repeats,

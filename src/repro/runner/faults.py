@@ -468,20 +468,14 @@ class FaultInjector:
             kill_after = self._rng.randrange(1, 1000)
         return ProcessKiller(inner, kill_after)
 
-    def kill_plan(
-        self, workers: int, max_lease: int = 3, max_refs: int = 500
-    ) -> tuple[int, int, int]:
-        """Pick a deterministic (worker, lease index, ref count) kill point.
+    def kill_plan(self, cells: int, max_refs: int = 500) -> tuple[int, int]:
+        """Pick a deterministic (cell index, ref count) kill point.
 
-        The fabric chaos harness uses this to decide *which* worker of a
-        fleet dies, on which of its leases, and after how many completed
-        data references — all drawn from the injector's seeded RNG, so a
-        chaos scenario is exactly reproducible from its seed.
+        The fabric chaos harness uses this to decide *which* cell of a
+        sweep dies on its first attempt, and after how many completed
+        data references — both drawn from the injector's seeded RNG, so
+        a chaos scenario is exactly reproducible from its seed.
         """
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        return (
-            self._rng.randrange(0, workers),
-            self._rng.randrange(0, max_lease),
-            self._rng.randrange(1, max_refs + 1),
-        )
+        if cells < 1:
+            raise ConfigurationError(f"cells must be >= 1, got {cells}")
+        return self._rng.randrange(0, cells), self._rng.randrange(1, max_refs + 1)

@@ -151,7 +151,7 @@ class Scheduler:
         self._idle = threading.Condition()
         self._started_at = time.monotonic()
 
-        # Shared memos: canonical trace spec -> built Trace, and
+        # Shared memos: canonical trace spec -> packed trace, and
         # cell key -> result JSON (the warm-process layer above the
         # on-disk ResultCache — works even with no cache configured).
         self._trace_memo: dict[str, Any] = {}
@@ -450,9 +450,10 @@ class Scheduler:
         """Build (or reuse) the trace for one trace spec.
 
         Workload traces are memoized on the canonical spec so identical
-        jobs share one Trace object.  File-backed traces are rebuilt
-        each time — they are lazy readers whose content can change
-        between jobs.
+        jobs share one packed :class:`~repro.trace.columnar.ColumnarTrace`
+        (the records are never held alongside it).  File-backed traces
+        are rebuilt each time — they are lazy readers whose content can
+        change between jobs.
         """
         if tspec.path is not None:
             return tspec.build()

@@ -38,6 +38,7 @@ from typing import Any
 from repro.core.experiment import scheme_key
 from repro.errors import JobSpecError
 from repro.protocols.registry import available_protocols
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.stream import Trace
 from repro.workloads.micro import MICRO_GENERATORS
 from repro.workloads.modern import MODERN_GENERATORS
@@ -70,8 +71,13 @@ class TraceSpec:
             return {"path": self.path}
         return {"workload": self.workload, "length": self.length, "seed": self.seed}
 
-    def build(self) -> Trace:
-        """Materialize the trace (generate the workload or load the file)."""
+    def build(self) -> Trace | ColumnarTrace:
+        """Materialize the trace (generate the workload or load the file).
+
+        A file comes back as a lazy reader.  A generated workload comes
+        back packed into columns — the form the simulator runs — so a
+        service or worker that memoizes it holds no record objects.
+        """
         if self.path is not None:
             from repro.trace.io import load_trace
 
@@ -79,11 +85,13 @@ class TraceSpec:
         kwargs: dict[str, Any] = {} if self.seed is None else {"seed": self.seed}
         if self.workload.startswith("micro-"):
             generator = MICRO_GENERATORS[self.workload[len("micro-"):]]
-            return generator(length=self.length, **kwargs)
-        if self.workload.startswith("modern-"):
+            trace = generator(length=self.length, **kwargs)
+        elif self.workload.startswith("modern-"):
             generator = MODERN_GENERATORS[self.workload[len("modern-"):]]
-            return generator(length=self.length, **kwargs)
-        return make_trace(self.workload, length=self.length, **kwargs)
+            trace = generator(length=self.length, **kwargs)
+        else:
+            trace = make_trace(self.workload, length=self.length, **kwargs)
+        return ColumnarTrace.from_trace(trace)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Columnar trace storage: the simulator's fast-path input format.
+"""Columnar trace storage: the simulator's input format.
 
 A :class:`ColumnarTrace` stores the same information as a
 :class:`~repro.trace.stream.Trace`, but as packed parallel columns
@@ -9,6 +9,10 @@ dataclass to 26 bytes and, more importantly, lets
 :meth:`repro.core.simulator.Simulator.run` iterate raw ints at C speed
 instead of doing attribute and enum dispatch per record — see
 ``docs/PERFORMANCE.md`` for the design and the bit-identity guarantee.
+Every simulation runs from this form: ``Simulator.run`` packs a
+:class:`~repro.trace.stream.Trace` once (memoized by
+:meth:`~repro.trace.stream.Trace.columnar`) and a raw record stream in
+bounded :meth:`ColumnarTrace.batches`.
 
 Conversion is lossless in both directions: ``ColumnarTrace.from_trace``
 / ``from_records`` pack any record stream, and :meth:`to_records` /
@@ -21,7 +25,7 @@ records at all.
 from __future__ import annotations
 
 from array import array
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -133,6 +137,15 @@ class ColumnarTrace:
                 | (_FLAG_SPIN if record.spin else 0)
             )
         return cls(name, cpus, pids, types, addresses, flags, description)
+
+    @classmethod
+    def batches(
+        cls, records: Iterable[TraceRecord], size: int, name: str = "stream"
+    ) -> Iterator["ColumnarTrace"]:
+        """Pack a record stream lazily, *size* records per batch."""
+        iterator = iter(records)
+        while batch := cls.from_records(islice(iterator, size), name):
+            yield batch
 
     @classmethod
     def from_trace(cls, trace: "Trace | ColumnarTrace") -> "ColumnarTrace":

@@ -3,7 +3,9 @@
 A :class:`Trace` is a named, materialized sequence of
 :class:`~repro.trace.record.TraceRecord` objects.  Simulations accept
 any iterable of records, but the named container is convenient for the
-multi-trace experiments the paper runs (POPS, THOR, PERO).
+multi-trace experiments the paper runs (POPS, THOR, PERO), and it
+memoizes its packed columnar form (:meth:`Trace.columnar`) so a sweep
+of many schemes over one trace packs it once.
 """
 
 from __future__ import annotations
@@ -11,9 +13,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.trace.record import TraceRecord
+
+if TYPE_CHECKING:
+    from repro.trace.columnar import ColumnarTrace
 
 
 @dataclass
@@ -30,9 +35,46 @@ class Trace:
     records: Sequence[TraceRecord]
     description: str = ""
 
+    #: ``(records, length, packed)`` memo behind :meth:`columnar`; not a
+    #: dataclass field, so equality and ``repr`` ignore it.
+    _packed = None
+
     def __post_init__(self) -> None:
         if not isinstance(self.records, (list, tuple)):
             self.records = list(self.records)
+
+    def columnar(self) -> "ColumnarTrace | None":
+        """This trace packed into columns, computed once and memoized.
+
+        The memo is keyed on the identity and length of ``records`` (and
+        the trace's name), so rebinding ``records`` — or growing the
+        list — repacks on the next call; records are treated as
+        immutable otherwise.  Returns None when ``records`` is not a
+        materialized list or tuple (a lazily read file, say): such
+        sources are streamed, never held in memory whole.
+        """
+        records = self.records
+        if not isinstance(records, (list, tuple)):
+            return None
+        memo = self._packed
+        if (
+            memo is None
+            or memo[0] is not records
+            or memo[1] != len(records)
+            or memo[2].name != self.name
+        ):
+            from repro.trace.columnar import ColumnarTrace
+
+            memo = (records, len(records), ColumnarTrace.from_trace(self))
+            self._packed = memo
+        return memo[2]
+
+    def __getstate__(self) -> dict:
+        # The packed memo is derived state: rebuilt on demand wherever
+        # the trace is unpickled, never shipped alongside the records.
+        state = dict(self.__dict__)
+        state.pop("_packed", None)
+        return state
 
     def __len__(self) -> int:
         return len(self.records)

@@ -1,8 +1,9 @@
-"""Differential test: record path == columnar fast path == parallel sweep.
+"""Differential test: record path == columnar path == parallel sweep.
 
-The columnar fast path and the parallel executor both promise results
-*identical* to the plain record-by-record simulation — not statistically
-close, equal.  This suite holds that for every registered protocol on a
+``Simulator.run`` simulates every input from packed columns, and the
+parallel executor ships those columns to its workers; both promise
+results *identical* to the reference record-by-record loop
+(``Simulator._run_records``) — not statistically close, equal.  This suite holds that for every registered protocol on a
 mixed synthetic trace (instructions, private and shared data, read/write
 mixes, multiple sharers), comparing full :class:`SimulationResult`
 payloads: event counts, op units, histograms, transaction counts.
@@ -32,15 +33,15 @@ def columnar(trace):
 @pytest.mark.parametrize("scheme", available_protocols())
 def test_columnar_fast_path_is_bit_identical(trace, columnar, scheme):
     simulator = Simulator()
-    record_result = simulator.run(trace, scheme)
-    columnar_result = simulator.run(columnar, scheme)
-    assert columnar_result == record_result
+    record_result = simulator._run_records(trace, scheme)
+    assert simulator.run(columnar, scheme) == record_result
+    assert simulator.run(trace, scheme) == record_result
 
 
 @pytest.mark.parametrize("scheme", available_protocols())
 def test_columnar_fast_path_matches_with_cpu_sharers(trace, columnar, scheme):
     simulator = Simulator(sharer_key="cpu")
-    assert simulator.run(columnar, scheme) == simulator.run(trace, scheme)
+    assert simulator.run(columnar, scheme) == simulator._run_records(trace, scheme)
 
 
 def test_segmented_columnar_run_matches_continuous(trace, columnar):
@@ -50,7 +51,7 @@ def test_segmented_columnar_run_matches_continuous(trace, columnar):
     instance and context fed slice by slice.
     """
     simulator = Simulator()
-    whole = simulator.run(trace, "dir0b")
+    whole = simulator._run_records(trace, "dir0b")
 
     protocol = make_protocol("dir0b", num_caches=len(columnar.pids))
     context = SimulationContext()
@@ -73,7 +74,7 @@ def test_parallel_sweep_matches_record_path(trace, columnar):
     schemes = list(available_protocols())
     simulator = Simulator()
     serial = {
-        scheme: simulator.run(trace, scheme, trace_name=trace.name)
+        scheme: simulator._run_records(trace, scheme, trace_name=trace.name)
         for scheme in schemes
     }
     parallel = ResilientExperiment(

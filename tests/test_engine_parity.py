@@ -1,7 +1,7 @@
 """Differential parity: every execution stack is the same engine.
 
-The engine refactor's acceptance bar: the serial record path, the
-columnar fast path, a multi-process pooled sweep, and a
+The engine refactor's acceptance bar: the reference record loop, the
+engine's serial columnar path, a multi-process pooled sweep, and a
 service-scheduled job must produce *byte-identical* result payloads —
 and checkpoint manifests written before the refactor must resume
 cleanly after it.
@@ -49,10 +49,16 @@ def canonical(results) -> str:
 
 
 def test_all_execution_stacks_are_byte_identical(trace):
-    """Record path == columnar fast path == pooled sweep == service job."""
-    record = Engine().run(ExecutionPlan(traces=[trace], schemes=SCHEMES))
-    assert record.ok
+    """Record loop == engine (Trace, ColumnarTrace) == pooled == service."""
+    simulator = Simulator()
+    record = {}
+    for scheme in SCHEMES:
+        result = simulator._run_records(trace, scheme, trace_name=trace.name)
+        result.scheme = scheme
+        record[scheme] = {trace.name: result}
 
+    packed = Engine().run(ExecutionPlan(traces=[trace], schemes=SCHEMES))
+    assert packed.ok
     columnar = Engine().run(
         ExecutionPlan(traces=[ColumnarTrace.from_trace(trace)], schemes=SCHEMES)
     )
@@ -69,7 +75,8 @@ def test_all_execution_stacks_are_byte_identical(trace):
         scheduler.shutdown(mode="drain", timeout=30.0)
     assert deadline_ok and job.cell_errors == 0
 
-    baseline = canonical(record.results)
+    baseline = canonical(record)
+    assert canonical(packed.results) == baseline
     assert canonical(columnar.results) == baseline
     assert canonical(pooled.results) == baseline
     assert canonical(job.results) == baseline

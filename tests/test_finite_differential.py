@@ -113,7 +113,7 @@ def test_small_capacity_backends_agree(trace, columnar, scheme, tmp_path):
     from repro.store import ChunkedTrace, pack_trace
 
     simulator = Simulator()
-    record = simulator.run(trace, scheme, geometry="64x2")
+    record = simulator._run_records(trace, scheme, geometry="64x2")
     fast = simulator.run(columnar, scheme, geometry="64x2")
     path = tmp_path / "small.ctrc"
     pack_trace(trace, path, chunk_records=700)

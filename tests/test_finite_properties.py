@@ -188,7 +188,7 @@ def _snapshot(protocol):
 @given(refs=refs_strategy, scheme=st.sampled_from(KERNEL_SCHEMES))
 def test_finite_kernel_matches_generic_on_random_prefixes(refs, scheme):
     from repro.core.result import SimulationResult
-    from repro.protocols.kernels import kernel_run
+    from repro.protocols.kernels import open_kernel_session
 
     trace = Trace("prefix", _records_from(refs))
     columnar = ColumnarTrace.from_trace(trace)
@@ -199,10 +199,12 @@ def test_finite_kernel_matches_generic_on_random_prefixes(refs, scheme):
 
     via_kernel = make_protocol(scheme, NUM_CACHES, cache_factory=factory)
     kernel_result = SimulationResult(scheme=via_kernel.name, trace_name="prefix")
-    ran = kernel_run(
-        simulator, columnar, via_kernel, kernel_result, SimulationContext()
+    session = open_kernel_session(
+        simulator, via_kernel, kernel_result, SimulationContext()
     )
-    assert ran is kernel_result  # the finite kernel engaged
+    assert session is not None  # the finite kernel engaged
+    session.run_chunk(columnar)
+    assert session.finish() is kernel_result
 
     via_generic = make_protocol(scheme, NUM_CACHES, cache_factory=factory)
     generic_result = simulator._run_columnar(

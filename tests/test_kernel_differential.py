@@ -15,7 +15,7 @@ from repro.core.simulator import SimulationContext, Simulator
 from repro.core.result import merge_results
 from repro.errors import ConfigurationError
 from repro.memory.cache import FiniteCache
-from repro.protocols.kernels import has_kernel, kernel_run
+from repro.protocols.kernels import has_kernel, open_kernel_session
 from repro.protocols.registry import make_protocol
 from repro.trace.columnar import ColumnarTrace
 from repro.workloads.registry import make_trace
@@ -62,18 +62,19 @@ def test_kernel_engages_for_stock_protocol(columnar, scheme):
     from repro.core.result import SimulationResult
 
     result = SimulationResult(scheme=protocol.name, trace_name=columnar.name)
-    ran = kernel_run(simulator, columnar, protocol, result, SimulationContext())
-    assert ran is result  # did not bail to the generic path
+    session = open_kernel_session(simulator, protocol, result, SimulationContext())
+    assert session is not None  # did not bail to the generic path
+    session.run_chunk(columnar)
+    assert session.finish() is result
 
 
-def test_no_kernel_for_other_protocols(columnar):
+def test_no_kernel_for_other_protocols():
     for scheme in ("dirnnb", "dirib", "coarse-vector", "write-once", "illinois"):
         protocol = make_protocol(scheme, num_caches=4)
         assert not has_kernel(protocol)
         assert (
-            kernel_run(
+            open_kernel_session(
                 Simulator(),
-                columnar,
                 protocol,
                 object(),
                 SimulationContext(),
@@ -90,7 +91,7 @@ def test_no_kernel_for_other_protocols(columnar):
 @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
 def test_kernel_matches_record_path(trace, columnar, scheme):
     simulator = Simulator()
-    assert simulator.run(columnar, scheme) == simulator.run(trace, scheme)
+    assert simulator.run(columnar, scheme) == simulator._run_records(trace, scheme)
 
 
 @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
@@ -116,7 +117,7 @@ def test_kernel_matches_generic_columnar_loop(columnar, scheme):
 @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
 def test_kernel_matches_on_write_heavy_trace(write_heavy, scheme):
     simulator = Simulator()
-    assert simulator.run(write_heavy, scheme) == simulator.run(
+    assert simulator.run(write_heavy, scheme) == simulator._run_records(
         write_heavy.to_trace(), scheme
     )
 
@@ -124,7 +125,7 @@ def test_kernel_matches_on_write_heavy_trace(write_heavy, scheme):
 @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
 def test_kernel_matches_with_cpu_sharers(trace, columnar, scheme):
     simulator = Simulator(sharer_key="cpu")
-    assert simulator.run(columnar, scheme) == simulator.run(trace, scheme)
+    assert simulator.run(columnar, scheme) == simulator._run_records(trace, scheme)
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +142,7 @@ def test_kernel_segmented_run_matches_continuous(trace, columnar, scheme):
     (dirty owners, shared masks, directory entries) at odd boundaries.
     """
     simulator = Simulator()
-    whole = simulator.run(trace, scheme)
+    whole = simulator._run_records(trace, scheme)
 
     protocol = make_protocol(scheme, num_caches=len(columnar.pids))
     context = SimulationContext()
@@ -165,14 +166,15 @@ def test_kernel_export_matches_object_model_state(columnar, scheme):
     num_caches = len(columnar.pids)
 
     via_kernel = make_protocol(scheme, num_caches=num_caches)
-    ran = kernel_run(
+    session = open_kernel_session(
         simulator,
-        columnar,
         via_kernel,
         SimulationResult(scheme=via_kernel.name, trace_name=columnar.name),
         SimulationContext(),
     )
-    assert ran is not None
+    assert session is not None
+    session.run_chunk(columnar)
+    session.finish()
 
     via_generic = make_protocol(scheme, num_caches=num_caches)
     simulator._run_columnar(
@@ -202,8 +204,10 @@ def test_finite_kernel_engages_for_uniform_geometry(columnar, scheme):
     )
     assert has_kernel(protocol)
     result = SimulationResult(scheme=protocol.name, trace_name=columnar.name)
-    ran = kernel_run(simulator, columnar, protocol, result, SimulationContext())
-    assert ran is result
+    session = open_kernel_session(simulator, protocol, result, SimulationContext())
+    assert session is not None
+    session.run_chunk(columnar)
+    assert session.finish() is result
 
 
 def test_kernel_bails_on_subclassed_finite_cache(columnar):
@@ -220,7 +224,7 @@ def test_kernel_bails_on_subclassed_finite_cache(columnar):
     )
     before = _snapshot(protocol)
     assert (
-        kernel_run(simulator, columnar, protocol, object(), SimulationContext())
+        open_kernel_session(simulator, protocol, object(), SimulationContext())
         is None
     )
     assert _snapshot(protocol) == before  # refusal leaves state untouched
@@ -236,7 +240,7 @@ def test_kernel_bails_on_mixed_geometry(columnar):
         cache_factory=lambda: FiniteCache(*next(geometries)),
     )
     assert (
-        kernel_run(simulator, columnar, protocol, object(), SimulationContext())
+        open_kernel_session(simulator, protocol, object(), SimulationContext())
         is None
     )
 
@@ -252,7 +256,7 @@ def test_finite_cache_columnar_run_still_correct(trace, columnar):
     fast = simulator.run(
         columnar, make_protocol("dir0b", num_caches, cache_factory=factory)
     )
-    slow = simulator.run(
+    slow = simulator._run_records(
         trace, make_protocol("dir0b", num_caches, cache_factory=factory)
     )
     assert fast == slow
@@ -267,7 +271,7 @@ def test_kernel_bails_on_unseen_held_block(columnar):
 
     cold_context = SimulationContext()  # empty seen_blocks, caches warm
     assert (
-        kernel_run(simulator, columnar, protocol, object(), cold_context) is None
+        open_kernel_session(simulator, protocol, object(), cold_context) is None
     )
 
 
