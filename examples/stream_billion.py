@@ -3,7 +3,7 @@
 The paper's traces are ~3.2M references; the in-memory reproduction
 scales them down to fit comfortably in RAM.  The chunked trace store
 (``docs/TRACESTORE.md``) removes that constraint: the workload
-generator emits records one at a time, the ``.ctrc`` writer holds one
+generator emits bounded column batches, the ``.ctrc`` writer holds one
 chunk of columns, and the simulator replays one decoded chunk at a
 time — so the only resource that scales with trace length is disk.
 
@@ -48,15 +48,14 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{WORKLOAD}-{length}.ctrc"
 
-        # 1. Stream the workload to disk.  The writer never holds more
-        # than one chunk (262,144 references) of column buffers, so
-        # this loop runs at the same memory footprint whether length
-        # is ten thousand or ten billion.
+        # 1. Stream the workload to disk.  The generator emits column
+        # batches and the writer never holds more than one chunk
+        # (262,144 references) of them, so this runs at the same memory
+        # footprint whether length is ten thousand or ten billion.
         print(f"streaming {length:,} references of '{WORKLOAD}' ...")
         start = time.perf_counter()
         with StreamingTraceWriter(path, WORKLOAD) as writer:
-            for record in stream_trace(WORKLOAD, length=length):
-                writer.append(record)
+            writer.extend(stream_trace(WORKLOAD, length=length))
         meta = writer.close()
         elapsed = time.perf_counter() - start
         print(

@@ -236,26 +236,23 @@ def cmd_trace_gen(args) -> int:
     The workload generator and the chunked writer both run at bounded
     memory, so the trace length is limited by disk, not RAM.
     """
-    from repro.store import StreamingTraceWriter
+    from repro.store import pack_trace, write_stream
     from repro.workloads.registry import stream_trace
 
-    if args.workload.startswith("micro-"):
-        # Micro generators are small by design; materialize then stream.
+    options = {
+        "name": args.workload,
+        "codec": args.codec,
+        "chunk_records": args.chunk_records,
+        "level": args.level,
+    }
+    if args.workload.startswith(("micro-", "modern-")):
+        # These generators are small by design: materialize, then pack.
         trace = _make_any_trace(args.workload, length=args.length, seed=args.seed)
-        records = iter(trace.records)
+        meta = pack_trace(trace, args.output, **options)
     else:
         kwargs = {} if args.seed is None else {"seed": args.seed}
-        records = stream_trace(args.workload, length=args.length, **kwargs)
-    with StreamingTraceWriter(
-        args.output,
-        args.workload,
-        codec=args.codec,
-        chunk_records=args.chunk_records,
-        level=args.level,
-    ) as writer:
-        for record in records:
-            writer.append(record)
-    meta = writer.close()
+        stream = stream_trace(args.workload, length=args.length, **kwargs)
+        meta = write_stream(stream, args.output, **options)
     print(
         f"streamed {meta['records']:,} records of '{args.workload}' into "
         f"{len(meta['chunks'])} {args.codec} chunks at {args.output}"
@@ -685,6 +682,19 @@ def cmd_bench(args) -> int:
                 f"chunk-streamed .ctrc ({streaming['chunks']} chunks, "
                 f"{streaming['compression']}x compression, peak rss "
                 f"{streaming['peak_rss_mb']} MB)"
+            ),
+        ))
+    generation = report.get("generation")
+    if generation is not None:
+        print(format_table(
+            ["form", "refs/s"],
+            [
+                ("columns", generation["columns_refs_per_sec"]),
+                ("build (records)", generation["build_refs_per_sec"]),
+            ],
+            title=(
+                f"workload generation ({generation['workload']}, "
+                f"{args.length} refs)"
             ),
         ))
     sweep = report["parallel_sweep"]

@@ -34,15 +34,11 @@ from repro.memory.address import BlockMapper
 from repro.protocols.base import CoherenceProtocol
 from repro.protocols.kernels import flush_batches, open_kernel_session, too_many_sharers
 from repro.protocols.registry import make_protocol
-from repro.trace.columnar import TYPE_READ, ColumnarTrace
+from repro.trace.columnar import STREAM_BATCH, TYPE_READ, ColumnarTrace, column_batches
 from repro.trace.record import RefType, TraceRecord
 from repro.trace.stream import Trace
 
 _SHARER_KEYS = ("pid", "cpu")
-
-#: Records packed per batch when simulating a raw record stream, so an
-#: unbounded stream runs in bounded memory.
-STREAM_BATCH = 1 << 14
 
 
 class SimulationContext:
@@ -110,8 +106,10 @@ class Simulator:
         """Simulate *protocol* over *trace* and return the measurements.
 
         A :class:`~repro.trace.stream.Trace` runs from its memoized
-        :meth:`~repro.trace.stream.Trace.columnar` form and a raw record
-        stream is packed in batches of :data:`STREAM_BATCH`; invariant
+        :meth:`~repro.trace.stream.Trace.columnar` form, a generated
+        workload stream from its own column batches, and a raw record
+        stream is packed in batches of :data:`STREAM_BATCH`
+        (:func:`~repro.trace.columnar.column_batches`); invariant
         checking takes the per-record loop instead, with equal results.
 
         Args:
@@ -131,19 +129,15 @@ class Simulator:
             return self._run_records(
                 trace, protocol, num_caches, trace_name, context, **protocol_options
             )
-        records, name = _records_and_name(trace, trace_name)
+        _, name = _records_and_name(trace, trace_name)
         if isinstance(trace, Trace) and (packed := trace.columnar()) is not None:
             trace = packed  # lazily read records have no memo: streamed below
         built = self._resolve_protocol(protocol, trace, num_caches, protocol_options)
         result = SimulationResult(scheme=built.name, trace_name=name)
         context = context or SimulationContext()
-        if isinstance(trace, ColumnarTrace):
-            chunks: Iterable[ColumnarTrace] = (trace,)
-        elif hasattr(trace, "iter_chunks"):
-            chunks = trace.iter_chunks()
-        else:
-            chunks = ColumnarTrace.batches(records, STREAM_BATCH, name)
-        return self._run_chunks(chunks, built, result, context)
+        return self._run_chunks(
+            column_batches(trace, STREAM_BATCH), built, result, context
+        )
 
     def _run_records(
         self, trace: Any, protocol: CoherenceProtocol | str,

@@ -79,9 +79,10 @@ def fingerprint(protocol: CoherenceProtocol):
         )
     )
     extra = None
-    single_bits = getattr(protocol, "_single_bits", None)
-    if single_bits is not None:
-        extra = tuple(sorted(key for key in single_bits if key[1] == _BLOCK))
+    single_bit_holder = getattr(protocol, "_single_bit_holder", None)
+    if single_bit_holder is not None:
+        holder = single_bit_holder.get(_BLOCK)
+        extra = () if holder is None else ((holder, _BLOCK),)
     return holders, _directory_fingerprint(protocol), extra
 
 

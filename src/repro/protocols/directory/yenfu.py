@@ -40,8 +40,9 @@ class YenFuProtocol(DirNNBProtocol):
         super().__init__(
             num_caches, cache_factory=cache_factory, dir_capacity=dir_capacity
         )
-        # (cache, block) pairs whose single bit is currently set.
-        self._single_bits: set[tuple[int, int]] = set()
+        # block -> the one cache whose single bit is set for it (a block
+        # held by several caches, or by none, has no entry).
+        self._single_bit_holder: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Single-bit bookkeeping
@@ -49,7 +50,7 @@ class YenFuProtocol(DirNNBProtocol):
 
     def single_bit(self, cache: int, block: int) -> bool:
         """True if *cache*'s copy of *block* carries a set single bit."""
-        return (cache, block) in self._single_bits
+        return self._single_bit_holder.get(block) == cache
 
     def _refresh_bits(self, block: int) -> None:
         """Reconcile single bits with the holder set after a transaction.
@@ -58,22 +59,11 @@ class YenFuProtocol(DirNNBProtocol):
         participate in the transaction costs one bus message; every
         other adjustment rides on the transaction itself.
         """
-        holders = {
-            index
-            for index in range(self._num_caches)
-            if self._caches[index].get(block) is not None
-        }
+        holders = self.holders(block)
         if len(holders) == 1:
-            only = next(iter(holders))
-            self._single_bits.add((only, block))
-            stale = [
-                key for key in self._single_bits
-                if key[1] == block and key[0] != only
-            ]
+            self._single_bit_holder[block] = next(iter(holders))
         else:
-            stale = [key for key in self._single_bits if key[1] == block]
-        for key in stale:
-            self._single_bits.discard(key)
+            self._single_bit_holder.pop(block, None)
 
     def _charge_bit_clear_if_needed(
         self, block: int, previously_single: int | None, result: ProtocolResult

@@ -259,6 +259,27 @@ def measure_parallel(
     }
 
 
+def measure_generation(
+    length: int, repeats: int = DEFAULT_REPEATS, warmup: int = DEFAULT_WARMUP
+) -> dict[str, Any]:
+    """Workload generation throughput on POPS at *length* references.
+
+    ``columns`` is the generator alone (one packed ``ColumnarTrace``,
+    the form the service, the store writer and the simulator take);
+    ``build`` adds decoding the records of a materialized ``Trace``.
+    """
+    from repro.workloads.registry import stream_trace
+
+    stream = stream_trace("pops", length=length)
+    columns_s = _best_seconds(stream.columnar, repeats, warmup)
+    build_s = _best_seconds(stream.build, repeats, warmup)
+    return {
+        "workload": "pops",
+        "columns_refs_per_sec": round(length / columns_s),
+        "build_refs_per_sec": round(length / build_s),
+    }
+
+
 def build_report(
     length: int = DEFAULT_LENGTH,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
@@ -304,6 +325,7 @@ def build_report(
         "schemes": measure_schemes(pops, schemes, repeats, warmup),
         "finite": measure_finite(pops, schemes, repeats=repeats, warmup=warmup),
         "streaming": measure_streaming(pops, schemes, repeats, warmup),
+        "generation": measure_generation(length, repeats, warmup),
         "parallel_sweep": sweep,
     }
     if full_roster:
@@ -332,6 +354,12 @@ def headline_metrics(report: dict[str, Any]) -> dict[str, float]:
         metrics[f"finite.{scheme}.refs_per_sec"] = entry["finite_refs_per_sec"]
     for scheme, entry in report.get("streaming", {}).get("schemes", {}).items():
         metrics[f"streaming.{scheme}.refs_per_sec"] = entry["chunked_refs_per_sec"]
+    generation = report.get("generation")
+    if generation is not None:
+        for form in ("columns", "build"):
+            metrics[f"generation.{form}.refs_per_sec"] = generation[
+                f"{form}_refs_per_sec"
+            ]
     for jobs, value in (
         report.get("parallel_sweep", {}).get("refs_per_sec_by_jobs", {}).items()
     ):

@@ -42,7 +42,7 @@ from repro.trace.columnar import ColumnarTrace
 from repro.trace.stream import Trace
 from repro.workloads.micro import MICRO_GENERATORS
 from repro.workloads.modern import MODERN_GENERATORS
-from repro.workloads.registry import DEFAULT_LENGTH, available_workloads, make_trace
+from repro.workloads.registry import DEFAULT_LENGTH, available_workloads, stream_trace
 
 _SHARER_KEYS = ("pid", "cpu")
 
@@ -75,8 +75,9 @@ class TraceSpec:
         """Materialize the trace (generate the workload or load the file).
 
         A file comes back as a lazy reader.  A generated workload comes
-        back packed into columns — the form the simulator runs — so a
-        service or worker that memoizes it holds no record objects.
+        back as columns — the form the simulator runs — so a service or
+        worker that memoizes it holds no record objects; the synthetic
+        workloads are generated straight into columns, building none.
         """
         if self.path is not None:
             from repro.trace.io import load_trace
@@ -85,13 +86,11 @@ class TraceSpec:
         kwargs: dict[str, Any] = {} if self.seed is None else {"seed": self.seed}
         if self.workload.startswith("micro-"):
             generator = MICRO_GENERATORS[self.workload[len("micro-"):]]
-            trace = generator(length=self.length, **kwargs)
         elif self.workload.startswith("modern-"):
             generator = MODERN_GENERATORS[self.workload[len("modern-"):]]
-            trace = generator(length=self.length, **kwargs)
         else:
-            trace = make_trace(self.workload, length=self.length, **kwargs)
-        return ColumnarTrace.from_trace(trace)
+            return stream_trace(self.workload, length=self.length, **kwargs).columnar()
+        return ColumnarTrace.from_trace(generator(length=self.length, **kwargs))
 
 
 @dataclass(frozen=True)

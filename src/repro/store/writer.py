@@ -1,9 +1,10 @@
 """Streaming ``.ctrc`` writer: generators in, bounded memory, chunks out.
 
-:class:`StreamingTraceWriter` accepts records (or bulk column slices)
-and flushes a chunk to disk every ``chunk_records`` references, so a
-workload generator can emit a trace of any length while the writer
-holds at most one chunk's columns.  Alongside the chunks it maintains:
+:class:`StreamingTraceWriter` accepts records, bulk column slices, or
+whole traces and streams (fed as column batches), and flushes a chunk
+to disk every ``chunk_records`` references, so a workload generator can
+emit a trace of any length while the writer holds at most one chunk's
+columns.  Alongside the chunks it maintains:
 
 * the sharer-id sets (distinct cpus and pids) — stored in the index so
   readers can size machines without scanning the file;
@@ -24,10 +25,10 @@ import os
 import zlib
 from array import array
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from repro.errors import TraceFormatError
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import column_batches
 from repro.trace.fingerprint import TraceHasher
 from repro.trace.record import RefType, TraceRecord
 
@@ -55,8 +56,7 @@ class StreamingTraceWriter:
     path is left untouched)::
 
         with StreamingTraceWriter("big.ctrc", name="pops") as writer:
-            for record in generate():
-                writer.append(record)
+            writer.extend(stream_trace("pops", length=10**9))
 
     Args:
         path: destination file (conventionally ``.ctrc``).
@@ -134,10 +134,19 @@ class StreamingTraceWriter:
         if len(self._type) >= self.chunk_records:
             self._flush_chunk()
 
-    def extend(self, records: Iterable[TraceRecord]) -> None:
-        """Append a run of records."""
-        for record in records:
-            self.append(record)
+    def extend(self, source: Any) -> None:
+        """Append every reference of *source* — any trace or stream.
+
+        Column-native sources (a generated workload, a columnar or
+        chunked trace, a materialized trace's memoized packing) go
+        straight to :meth:`append_columns`; a record stream is packed
+        one chunk at a time on the way
+        (:func:`~repro.trace.columnar.column_batches`).
+        """
+        for batch in column_batches(source, self.chunk_records):
+            self.append_columns(
+                batch.cpu, batch.pid, batch.type_code, batch.address, batch.flags
+            )
 
     def append_columns(
         self, cpu: Any, pid: Any, type_code: Any, address: Any, flags: Any
@@ -279,12 +288,18 @@ class StreamingTraceWriter:
 
 
 def write_stream(
-    records: Iterable[TraceRecord],
+    records: Any,
     path: str | Path,
     name: str | None = None,
     **options: Any,
 ) -> dict[str, Any]:
-    """Stream a record iterable into a ``.ctrc`` file; returns the metadata."""
+    """Stream any trace or stream into a ``.ctrc`` file; returns the metadata.
+
+    *records* may be a record iterable or anything
+    :meth:`StreamingTraceWriter.extend` takes; a generated workload
+    stream (:func:`repro.workloads.registry.stream_trace`) is written
+    from its column batches without building a record.
+    """
     with StreamingTraceWriter(path, name, **options) as writer:
         writer.extend(records)
     return writer.close()
@@ -293,23 +308,9 @@ def write_stream(
 def pack_trace(trace: Any, path: str | Path, **options: Any) -> dict[str, Any]:
     """Pack any trace representation into a ``.ctrc`` file.
 
-    Columnar traces (and chunked traces, chunk by chunk) take the bulk
-    column path; record-backed and lazy traces stream record by record.
-    Returns the written index metadata.
+    :func:`write_stream` with the trace's own name and description as
+    defaults.  Returns the written index metadata.
     """
     options.setdefault("name", getattr(trace, "name", None))
     options.setdefault("description", getattr(trace, "description", ""))
-    with StreamingTraceWriter(path, **options) as writer:
-        chunk_iter = getattr(trace, "iter_chunks", None)
-        if chunk_iter is not None:
-            for chunk in chunk_iter():
-                writer.append_columns(
-                    chunk.cpu, chunk.pid, chunk.type_code, chunk.address, chunk.flags
-                )
-        elif isinstance(trace, ColumnarTrace):
-            writer.append_columns(
-                trace.cpu, trace.pid, trace.type_code, trace.address, trace.flags
-            )
-        else:
-            writer.extend(trace.records if hasattr(trace, "records") else trace)
-    return writer.close()
+    return write_stream(trace, path, **options)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from array import array
 from itertools import compress, islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.trace.record import RefType, TraceRecord
 from repro.trace.stream import Trace
@@ -39,9 +39,39 @@ TYPE_INSTR, TYPE_READ, TYPE_WRITE = 0, 1, 2
 _TYPE_TO_CODE = {RefType.INSTR: TYPE_INSTR, RefType.READ: TYPE_READ, RefType.WRITE: TYPE_WRITE}
 _CODE_TO_TYPE = (RefType.INSTR, RefType.READ, RefType.WRITE)
 
-_FLAG_SYSTEM = 0x1
-_FLAG_LOCK = 0x2
-_FLAG_SPIN = 0x4
+#: Bits of the flags column: system mode, lock reference, spin read.
+FLAG_SYSTEM, FLAG_LOCK, FLAG_SPIN = 0x1, 0x2, 0x4
+
+#: ``(system, lock, spin)`` record fields of every flag byte.
+_FLAG_FIELDS = tuple(
+    (bool(flags & FLAG_SYSTEM), bool(flags & FLAG_LOCK), bool(flags & FLAG_SPIN))
+    for flags in range(256)
+)
+
+#: Every flag byte a record can carry: a spin read is always a lock
+#: reference (the rule :class:`TraceRecord` enforces on construction).
+VALID_FLAGS = bytes(
+    flags for flags in range(8) if not flags & FLAG_SPIN or flags & FLAG_LOCK
+)
+
+#: References per batch when a trace is streamed as columns (a record
+#: stream packed for simulation, a generated workload, a store write),
+#: so an unbounded stream runs in bounded memory.
+STREAM_BATCH = 1 << 14
+
+
+def check_flags(flags: bytes, start: int = 0) -> None:
+    """Reject flag bytes no record could carry (spin without lock).
+
+    Column producers that skip record construction call this once per
+    batch; *start* is the batch's first record index, for the message.
+    """
+    if flags.translate(None, VALID_FLAGS):
+        bad = next(i for i, value in enumerate(flags) if value not in VALID_FLAGS)
+        raise ValueError(
+            f"invalid flags {flags[bad]:#x} at record {start + bad}: "
+            "spin references must also be lock references"
+        )
 
 
 class ColumnarTrace:
@@ -132,9 +162,9 @@ class ColumnarTrace:
             types.append(type_to_code[record.ref_type])
             addresses.append(record.address)
             flags.append(
-                (_FLAG_SYSTEM if record.system else 0)
-                | (_FLAG_LOCK if record.lock else 0)
-                | (_FLAG_SPIN if record.spin else 0)
+                (FLAG_SYSTEM if record.system else 0)
+                | (FLAG_LOCK if record.lock else 0)
+                | (FLAG_SPIN if record.spin else 0)
             )
         return cls(name, cpus, pids, types, addresses, flags, description)
 
@@ -149,9 +179,16 @@ class ColumnarTrace:
 
     @classmethod
     def from_trace(cls, trace: "Trace | ColumnarTrace") -> "ColumnarTrace":
-        """Convert any trace to columnar form (identity if already columnar)."""
+        """Convert any trace to columnar form.
+
+        Packs nothing when the trace already is columnar, or is a
+        :class:`Trace` holding a current packed memo (a generated trace
+        always does): that object is returned.
+        """
         if isinstance(trace, ColumnarTrace):
             return trace
+        if isinstance(trace, Trace) and (packed := trace._current_memo()) is not None:
+            return packed
         return cls.from_records(
             trace.records,
             name=trace.name,
@@ -198,8 +235,16 @@ class ColumnarTrace:
         return list(self)
 
     def to_trace(self) -> Trace:
-        """Materialize as a record-backed :class:`Trace`."""
-        return Trace(self.name, self.to_records(), self.description)
+        """Materialize as a record-backed :class:`Trace`.
+
+        The trace's records are decoded from these columns, so the trace
+        keeps them as its memoized packed form
+        (:meth:`~repro.trace.stream.Trace.columnar`) instead of packing
+        its records again.
+        """
+        trace = Trace(self.name, self.to_records(), self.description)
+        trace._packed = (trace.records, len(self), self)
+        return trace
 
     # ------------------------------------------------------------------
     # Sequence behaviour (mirrors Trace)
@@ -210,17 +255,12 @@ class ColumnarTrace:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         code_to_type = _CODE_TO_TYPE
+        flag_fields = _FLAG_FIELDS
         for cpu, pid, code, address, flags in zip(
             self.cpu, self.pid, self.type_code, self.address, self.flags
         ):
             yield TraceRecord(
-                cpu=cpu,
-                pid=pid,
-                ref_type=code_to_type[code],
-                address=address,
-                system=bool(flags & _FLAG_SYSTEM),
-                lock=bool(flags & _FLAG_LOCK),
-                spin=bool(flags & _FLAG_SPIN),
+                cpu, pid, code_to_type[code], address, *flag_fields[flags]
             )
 
     def __getitem__(self, index):
@@ -235,15 +275,12 @@ class ColumnarTrace:
                 self.description,
             )
         code = self.type_code[index]  # IndexError propagates for bad indices
-        flags = self.flags[index]
         return TraceRecord(
-            cpu=self.cpu[index],
-            pid=self.pid[index],
-            ref_type=_CODE_TO_TYPE[code],
-            address=self.address[index],
-            system=bool(flags & _FLAG_SYSTEM),
-            lock=bool(flags & _FLAG_LOCK),
-            spin=bool(flags & _FLAG_SPIN),
+            self.cpu[index],
+            self.pid[index],
+            _CODE_TO_TYPE[code],
+            self.address[index],
+            *_FLAG_FIELDS[self.flags[index]],
         )
 
     @property
@@ -324,6 +361,30 @@ class ColumnarTrace:
             view = (len(types) - len(data_types), data_types, sharers, addresses)
             self._data_views[sharer_key] = view
         return view
+
+
+def column_batches(source: Any, size: int = STREAM_BATCH) -> Iterator[ColumnarTrace]:
+    """Any trace representation as a sequence of columnar batches.
+
+    The one dispatch behind :meth:`Simulator.run
+    <repro.core.simulator.Simulator.run>` and the ``.ctrc`` writers.
+    Column-native sources hand over their own columns: a
+    :class:`ColumnarTrace` whole, a generated workload its
+    ``iter_columns()`` batches, a chunked store its ``iter_chunks()``, a
+    materialized :class:`Trace` its memoized packing.  Anything else —
+    a lazily read file, a raw record iterable — is packed *size* records
+    at a time.
+    """
+    if isinstance(source, ColumnarTrace):
+        return iter((source,))
+    for attribute in ("iter_columns", "iter_chunks"):
+        batches = getattr(source, attribute, None)
+        if batches is not None:
+            return batches()
+    if isinstance(source, Trace) and (packed := source.columnar()) is not None:
+        return iter((packed,))
+    records = source.records if hasattr(source, "records") else source
+    return ColumnarTrace.batches(records, size, getattr(source, "name", "stream"))
 
 
 def columnar_trace(trace: "Trace | ColumnarTrace | Iterable[TraceRecord]") -> ColumnarTrace:

@@ -56,17 +56,24 @@ class Trace:
         records = self.records
         if not isinstance(records, (list, tuple)):
             return None
+        packed = self._current_memo()
+        if packed is None:
+            from repro.trace.columnar import ColumnarTrace
+
+            packed = ColumnarTrace.from_trace(self)
+            self._packed = (records, len(records), packed)
+        return packed
+
+    def _current_memo(self) -> "ColumnarTrace | None":
+        """The memoized packed form if it is still current, else None."""
         memo = self._packed
         if (
             memo is None
-            or memo[0] is not records
-            or memo[1] != len(records)
+            or memo[0] is not self.records
+            or memo[1] != len(self.records)
             or memo[2].name != self.name
         ):
-            from repro.trace.columnar import ColumnarTrace
-
-            memo = (records, len(records), ColumnarTrace.from_trace(self))
-            self._packed = memo
+            return None
         return memo[2]
 
     def __getstate__(self) -> dict:

@@ -2,8 +2,10 @@
 
 :class:`SyntheticWorkload` runs a deterministic round-robin scheduler
 over ``num_processes`` process state machines and materializes the
-interleaved reference stream as a :class:`~repro.trace.stream.Trace`.
-Each process mixes:
+interleaved reference stream as packed columns
+(:class:`~repro.trace.columnar.ColumnarTrace` batches); the record and
+:class:`~repro.trace.stream.Trace` forms are decoded from those.  Each
+process mixes:
 
 * instruction fetches (sequential per-process code, shared kernel text
   in system mode);
@@ -27,15 +29,30 @@ analogue configurations are in their own modules.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from repro.errors import ConfigurationError
-from repro.trace.record import RefType, TraceRecord
+from repro.trace.columnar import (
+    FLAG_LOCK,
+    FLAG_SPIN,
+    FLAG_SYSTEM,
+    STREAM_BATCH,
+    TYPE_INSTR,
+    TYPE_READ,
+    TYPE_WRITE,
+    ColumnarTrace,
+    check_flags,
+)
+from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 from repro.workloads.layout import AddressSpaceLayout
 from repro.workloads.locks import LockTable
 from repro.workloads.patterns import LocalityPicker, ProducerConsumerBuffers
+
+#: Flags of a spin read: a lock reference repeated while the lock is held.
+_SPIN = FLAG_LOCK | FLAG_SPIN
 
 
 @dataclass(frozen=True)
@@ -128,70 +145,99 @@ class WorkloadConfig:
 
 
 class _Process:
-    """One process's state machine; emits records via the workload."""
+    """One process's state machine; appends its references to the columns.
 
-    def __init__(self, workload: "SyntheticWorkload", pid: int) -> None:
+    Everything a reference needs that does not change while the trace
+    is generated — the instruction-fetch ratio, the bound RNG methods,
+    the column appenders and each region's block addresses — is looked
+    up once here, so emitting a reference is five ``append`` calls.
+    """
+
+    def __init__(
+        self, workload: "SyntheticWorkload", pid: int, columns: tuple
+    ) -> None:
+        config = workload.config
+        layout = config.layout
         self.workload = workload
-        self.config = workload.config
+        self.config = config
         self.pid = pid
-        self.cpu = pid % max(1, self.config.num_processes)
-        self.rng = random.Random((self.config.seed << 8) ^ (pid * 0x9E3779B1))
+        self.cpu = pid % max(1, config.num_processes)
+        self.rng = random.Random((config.seed << 8) ^ (pid * 0x9E3779B1))
+        self._random = self.rng.random
+        self._randrange = self.rng.randrange
         self.instr_offset = pid * 17
         self.kernel_instr_offset = pid * 31
         self.blocked_on = None  # Lock instance while spinning
         self.cs_remaining = 0
         self.cs_block = 0
         self.held_lock = None
-        self.pending_write = None  # (address, system) for read-modify-write
-        self.private_picker = LocalityPicker(self.config.layout.private_blocks)
+        self.pending_write = None  # (address, flags) for read-modify-write
+        self.private_picker = LocalityPicker(layout.private_blocks)
         self.produced_buffers = workload.buffers.buffers_produced_by(pid)
         self.produce_slot = 0
+
+        cpu, pids, types, addresses, flags = columns
+        self._push_cpu = cpu.append
+        self._push_pid = pids.append
+        self._push_type = types.append
+        self._push_address = addresses.append
+        self._push_flags = flags.append
+
+        # Emitting f/(1-f) instructions per data reference yields an
+        # instruction fraction of f overall; the ratio exceeds one when
+        # instructions outnumber data references.  A zero fraction
+        # draws nothing from the RNG.
+        fraction = config.instr_fraction
+        ratio = fraction / (1.0 - fraction)
+        self._emits_instr = fraction > 0.0
+        self._whole_instr = range(int(ratio))
+        self._fractional_instr = ratio - int(ratio)
+
+        self._instr_base = layout.instr_address(pid, 0)
+        self._kernel_text_base = layout.kernel_text_address(0)
+        self._private = tuple(
+            layout.private_address(pid, block)
+            for block in range(layout.private_blocks)
+        )
+        self._kernel_private = tuple(
+            layout.kernel_private_address(pid, block)
+            for block in range(layout.kernel_private_blocks)
+        )
 
     # ------------------------------------------------------------------
     # Emission helpers
     # ------------------------------------------------------------------
 
-    def _emit(self, ref_type, address, system, lock=False, spin=False) -> None:
-        self.workload.emit(
-            TraceRecord(
-                cpu=self.cpu,
-                pid=self.pid,
-                ref_type=ref_type,
-                address=address,
-                system=system,
-                lock=lock,
-                spin=spin,
-            )
-        )
+    # The column appends are written out in both emitters: they run once
+    # per reference, where a shared helper's call would cost a fifth of
+    # the generator's time.
 
-    def _emit_instr(self, system: bool) -> None:
-        layout = self.config.layout
+    def _emit_instr(self, system: int) -> None:
         if system:
-            self.kernel_instr_offset = (self.kernel_instr_offset + 1) % 4096
-            address = layout.kernel_text_address(self.kernel_instr_offset)
+            offset = self.kernel_instr_offset = (self.kernel_instr_offset + 1) % 4096
+            address = self._kernel_text_base + 4 * offset
         else:
-            self.instr_offset = (self.instr_offset + 1) % 2048
-            address = layout.instr_address(self.pid, self.instr_offset)
-        self._emit(RefType.INSTR, address, system)
+            offset = self.instr_offset = (self.instr_offset + 1) % 2048
+            address = self._instr_base + 4 * offset
+        self._push_cpu(self.cpu)
+        self._push_pid(self.pid)
+        self._push_type(TYPE_INSTR)
+        self._push_address(address)
+        self._push_flags(system)
 
-    def _maybe_emit_instr(self, system: bool) -> None:
-        fraction = self.config.instr_fraction
-        if fraction <= 0.0:
-            return
-        # Emitting f/(1-f) instructions per data reference yields an
-        # instruction fraction of f overall; the ratio exceeds one when
-        # instructions outnumber data references.
-        ratio = fraction / (1.0 - fraction)
-        whole, fractional = int(ratio), ratio - int(ratio)
-        for _ in range(whole):
-            self._emit_instr(system)
-        if self.rng.random() < fractional:
-            self._emit_instr(system)
-
-    def _emit_data(self, address, is_write, system, lock=False, spin=False) -> None:
-        self._maybe_emit_instr(system)
-        ref_type = RefType.WRITE if is_write else RefType.READ
-        self._emit(ref_type, address, system, lock=lock, spin=spin)
+    def _emit_data(self, address: int, code: int, flags: int) -> None:
+        """One data reference, preceded by its share of instruction fetches."""
+        if self._emits_instr:
+            system = flags & FLAG_SYSTEM
+            for _ in self._whole_instr:
+                self._emit_instr(system)
+            if self._random() < self._fractional_instr:
+                self._emit_instr(system)
+        self._push_cpu(self.cpu)
+        self._push_pid(self.pid)
+        self._push_type(code)
+        self._push_address(address)
+        self._push_flags(flags)
 
     # ------------------------------------------------------------------
     # One scheduling step = one data action
@@ -203,9 +249,9 @@ class _Process:
             self._spin_step()
             return
         if self.pending_write is not None:
-            address, system = self.pending_write
+            address, flags = self.pending_write
             self.pending_write = None
-            self._emit_data(address, True, system)
+            self._emit_data(address, TYPE_WRITE, flags)
             return
         if self.cs_remaining > 0:
             self._critical_section_step()
@@ -221,44 +267,42 @@ class _Process:
             return
         rate = self.config.spin_reads_per_step
         count = int(rate)
-        if self.rng.random() < rate - count:
+        if self._random() < rate - count:
             count += 1
         for _ in range(count):
-            self._emit_data(lock.address, False, False, lock=True, spin=True)
+            self._emit_data(lock.address, TYPE_READ, _SPIN)
 
     def _acquire(self, lock) -> None:
         # Successful test read followed by the test-and-set write.
-        self._emit_data(lock.address, False, False, lock=True)
-        self._emit_data(lock.address, True, False, lock=True)
+        self._emit_data(lock.address, TYPE_READ, FLAG_LOCK)
+        self._emit_data(lock.address, TYPE_WRITE, FLAG_LOCK)
         lock.acquire(self.pid)
         self.held_lock = lock
         self.cs_remaining = self.config.cs_data_refs
-        self.cs_block = self.rng.randrange(
-            self.config.layout.protected_blocks_per_lock
-        )
+        self.cs_block = self._randrange(self.config.layout.protected_blocks_per_lock)
 
     def _critical_section_step(self) -> None:
         lock = self.held_lock
         self.cs_remaining -= 1
         if self.cs_remaining == 0:
             # Release: a write to the lock word.
-            self._emit_data(lock.address, True, False, lock=True)
+            self._emit_data(lock.address, TYPE_WRITE, FLAG_LOCK)
             lock.release(self.pid)
             self.held_lock = None
             return
-        layout = self.config.layout
-        if self.rng.random() < self.config.cs_focus:
+        config = self.config
+        if self._random() < config.cs_focus:
             block = self.cs_block
         else:
-            block = self.rng.randrange(layout.protected_blocks_per_lock)
-        address = layout.protected_address(lock.index, block)
-        is_write = self.rng.random() < self.config.write_fraction_protected
-        self._emit_data(address, is_write, False)
+            block = self._randrange(config.layout.protected_blocks_per_lock)
+        address = self.workload.protected[lock.index][block]
+        is_write = self._random() < config.write_fraction_protected
+        self._emit_data(address, TYPE_WRITE if is_write else TYPE_READ, 0)
 
     def _free_step(self) -> None:
         config = self.config
-        system = self.rng.random() < config.system_fraction
-        roll = self.rng.random()
+        system = self._random() < config.system_fraction
+        roll = self._random()
 
         if not system and roll < config.p_lock_attempt and config.num_locks:
             self._attempt_lock()
@@ -266,12 +310,12 @@ class _Process:
         roll -= config.p_lock_attempt
 
         if roll < config.p_shared_read:
-            self._shared_read(system)
+            self._shared_access(TYPE_READ, system)
             return
         roll -= config.p_shared_read
 
         if roll < config.p_shared_update:
-            self._shared_update(system)
+            self._shared_access(TYPE_WRITE, system)
             return
         roll -= config.p_shared_update
 
@@ -288,15 +332,15 @@ class _Process:
 
     def _attempt_lock(self) -> None:
         config = self.config
-        if self.rng.random() < config.hot_lock_bias:
+        if self._random() < config.hot_lock_bias:
             lock = self.workload.locks[0]
         else:
-            lock = self.workload.locks[self.rng.randrange(config.num_locks)]
+            lock = self.workload.locks[self._randrange(config.num_locks)]
         if lock.held and lock.holder != self.pid:
             # Failed test: start spinning.
             lock.waiters.add(self.pid)
             self.blocked_on = lock
-            self._emit_data(lock.address, False, False, lock=True, spin=True)
+            self._emit_data(lock.address, TYPE_READ, _SPIN)
         elif not lock.held:
             self._acquire(lock)
         # Already holding it (can only happen with num_locks == 1 and a
@@ -304,48 +348,38 @@ class _Process:
         else:
             self._private_access(False)
 
-    def _shared_read(self, system: bool) -> None:
-        layout = self.config.layout
+    def _shared_access(self, code: int, system: bool) -> None:
+        """A shared read (or, rarely, update): kernel data in system mode."""
+        workload = self.workload
         if system:
-            block = self.rng.randrange(layout.kernel_shared_blocks)
-            address = layout.kernel_shared_address(block)
+            address = workload.kernel_shared[
+                self._randrange(self.config.layout.kernel_shared_blocks)
+            ]
         else:
-            block = self.workload.shared_picker.pick(self.rng)
-            address = layout.shared_read_address(block)
-        self._emit_data(address, False, system)
-
-    def _shared_update(self, system: bool) -> None:
-        layout = self.config.layout
-        if system:
-            block = self.rng.randrange(layout.kernel_shared_blocks)
-            address = layout.kernel_shared_address(block)
-        else:
-            block = self.workload.shared_picker.pick(self.rng)
-            address = layout.shared_read_address(block)
-        self._emit_data(address, True, system)
+            address = workload.shared_read[workload.shared_picker.pick(self.rng)]
+        self._emit_data(address, code, system)
 
     def _migratory_episode(self, system: bool) -> None:
         layout = self.config.layout
-        block = self.rng.randrange(layout.migratory_blocks)
-        address = layout.migratory_address(block)
-        if self.rng.random() < self.config.migratory_read_first:
+        address = layout.migratory_address(self._randrange(layout.migratory_blocks))
+        if self._random() < self.config.migratory_read_first:
             # Read-modify-write: read now, write on the next step.
-            self._emit_data(address, False, system)
+            self._emit_data(address, TYPE_READ, system)
             self.pending_write = (address, system)
         else:
-            self._emit_data(address, True, system)
+            self._emit_data(address, TYPE_WRITE, system)
 
     def _buffer_access(self, system: bool) -> None:
         layout = self.config.layout
         buffers = self.workload.buffers
         consume = (
             not self.produced_buffers
-            or self.rng.random() < self.config.buffer_consume_fraction
+            or self._random() < self.config.buffer_consume_fraction
         )
         if consume:
             # Consumers favour "their" neighbour's buffer, keeping most
             # producer invalidations single-cache (cf. paper Figure 1).
-            if self.rng.random() < 0.75:
+            if self._random() < 0.75:
                 buffer = (self.pid + 1) % buffers.num_buffers
             else:
                 buffer = buffers.random_buffer(self.rng)
@@ -353,7 +387,7 @@ class _Process:
                 buffer = (buffer + 1) % buffers.num_buffers
             slot = buffers.random_slot(self.rng)
             address = layout.buffer_address(buffers.block_index(buffer, slot))
-            self._emit_data(address, False, system)
+            self._emit_data(address, TYPE_READ, system)
         else:
             buffer = self.produced_buffers[
                 self.produce_slot // buffers.blocks_per_buffer % len(self.produced_buffers)
@@ -361,40 +395,68 @@ class _Process:
             slot = self.produce_slot % buffers.blocks_per_buffer
             self.produce_slot += 1
             address = layout.buffer_address(buffers.block_index(buffer, slot))
-            self._emit_data(address, True, system)
+            self._emit_data(address, TYPE_WRITE, system)
 
     def _private_access(self, system: bool) -> None:
-        layout = self.config.layout
         if system:
-            block = self.rng.randrange(layout.kernel_private_blocks)
-            address = layout.kernel_private_address(self.pid, block)
+            address = self._kernel_private[
+                self._randrange(self.config.layout.kernel_private_blocks)
+            ]
         else:
-            block = self.private_picker.pick(self.rng)
-            address = layout.private_address(self.pid, block)
-        is_write = self.rng.random() < self.config.write_fraction_private
-        self._emit_data(address, is_write, system)
+            address = self._private[self.private_picker.pick(self.rng)]
+        is_write = self._random() < self.config.write_fraction_private
+        self._emit_data(address, TYPE_WRITE if is_write else TYPE_READ, system)
 
 
 class SyntheticWorkload:
-    """Builds a deterministic synthetic trace from a configuration."""
+    """A deterministic synthetic trace, generated as packed columns.
+
+    The workload is its own reference stream: :meth:`iter_columns`
+    yields bounded :class:`~repro.trace.columnar.ColumnarTrace` batches,
+    iterating it yields the same references as records, :meth:`columnar`
+    and :meth:`build` return the whole trace.  Every form comes from the
+    one column-emitting generator, so all are bit-identical.  Each
+    iteration starts afresh from the configuration's seed; one instance
+    supports one iteration at a time.
+    """
 
     def __init__(self, config: WorkloadConfig) -> None:
         self.config = config
-        self.rng = random.Random(config.seed)
-        self.locks = LockTable(config.num_locks, config.layout)
+        layout = config.layout
         self.buffers = ProducerConsumerBuffers(
             num_buffers=config.num_buffers,
             blocks_per_buffer=config.blocks_per_buffer,
             num_processes=config.num_processes,
         )
-        self.shared_picker = LocalityPicker(config.layout.shared_read_blocks)
-        self._pending: list[TraceRecord] = []
-        self._count = 0
+        self.shared_picker = LocalityPicker(layout.shared_read_blocks)
+        # Block addresses of the regions every process shares.
+        self.shared_read = tuple(
+            layout.shared_read_address(block)
+            for block in range(layout.shared_read_blocks)
+        )
+        self.kernel_shared = tuple(
+            layout.kernel_shared_address(block)
+            for block in range(layout.kernel_shared_blocks)
+        )
+        self.protected = tuple(
+            tuple(
+                layout.protected_address(lock, block)
+                for block in range(layout.protected_blocks_per_lock)
+            )
+            for lock in range(config.num_locks)
+        )
 
-    def emit(self, record: TraceRecord) -> None:
-        """Append one record to the trace under construction."""
-        self._pending.append(record)
-        self._count += 1
+    @property
+    def name(self) -> str:
+        """The trace's name (the configuration's)."""
+        return self.config.name
+
+    @property
+    def description(self) -> str:
+        """The trace's provenance note."""
+        return self.config.description or (
+            f"synthetic workload ({self.config.num_processes} processes)"
+        )
 
     def _maybe_migrate(self, processes: list[_Process]) -> None:
         """Occasionally swap the CPUs of two processes (§4.4 migration)."""
@@ -406,53 +468,88 @@ class SyntheticWorkload:
             processes[first].cpu,
         )
 
-    def iter_records(self) -> "Iterator[TraceRecord]":
-        """Stream the trace's records without materializing the trace.
+    def iter_columns(self, batch: int = STREAM_BATCH) -> Iterator[ColumnarTrace]:
+        """Generate the trace as columnar batches of *batch* references.
 
-        Yields exactly the records :meth:`build` would produce, in the
-        same order — the scheduler, RNG draws, and truncation at
-        ``config.length`` are shared code, so streaming generation is
-        bit-identical to materialized generation (the chunked-store
-        differential tests hold this).  Buffered records are bounded by
-        one scheduling round (``num_processes * quantum`` data actions
-        plus their instruction fetches), so a generator feeding a
+        Processes run round-robin, ``quantum`` data actions per turn,
+        appending ints straight to the columns; full batches are
+        detached after each round.  The last round can overshoot the
+        target length mid-quantum and is truncated at ``config.length``,
+        so the batches concatenate to exactly ``config.length``
+        references.  Memory is bounded by one batch plus one round, so
+        a generator feeding a
         :class:`~repro.store.writer.StreamingTraceWriter` can emit
-        traces far larger than memory.  One workload instance supports
-        one iteration at a time.
+        traces far larger than memory.
         """
+        if batch < 1:
+            raise ValueError(f"batch must be >= 1, got {batch}")
         config = self.config
-        processes = [_Process(self, pid) for pid in range(config.num_processes)]
-        self._pending = []
-        self._count = 0
+        length = config.length
+        self.rng = random.Random(config.seed)
+        self.locks = LockTable(config.num_locks, config.layout)
+        columns = (array("Q"), array("Q"), bytearray(), array("Q"), bytearray())
+        types = columns[2]
+        processes = [
+            _Process(self, pid, columns) for pid in range(config.num_processes)
+        ]
+        turn = range(config.quantum)
         next_migration = config.migration_interval
-        yielded = 0
+        detached = 0
 
-        while self._count < config.length:
+        while detached + len(types) < length:
             for process in processes:
-                for _ in range(config.quantum):
-                    process.step()
-                if self._count >= config.length:
+                step = process.step
+                for _ in turn:
+                    step()
+                if detached + len(types) >= length:
                     break
-            if self._count >= next_migration:
+            if detached + len(types) >= next_migration:
                 self._maybe_migrate(processes)
                 next_migration += config.migration_interval
-            # Drain the round's records, truncating at the target length
-            # (the final round can overshoot mid-quantum, exactly like
-            # the materialized path's [:length] slice).
-            for record in self._pending:
-                if yielded == config.length:
-                    break
-                yielded += 1
-                yield record
-            self._pending.clear()
-        self._pending = []
+            while len(types) >= batch and detached < length:
+                count = min(batch, length - detached)
+                yield self._batch(detached, *(column[:count] for column in columns))
+                for column in columns:
+                    del column[:count]
+                detached += count
+        if detached < length:
+            # Generation is over: the last batch takes the columns
+            # themselves, cut at the target length, instead of a copy.
+            for column in columns:
+                del column[length - detached:]
+            yield self._batch(detached, *columns)
+
+    def _batch(
+        self, start: int, cpu: array, pid: array, types: bytearray,
+        address: array, flags: bytearray,
+    ) -> ColumnarTrace:
+        """Wrap detached columns, starting at record *start*, as a batch.
+
+        The generator appends without building records, so the check a
+        record makes on construction — spin implies lock — runs here,
+        once per batch; the ``'Q'`` columns already reject negatives.
+        """
+        flags = bytes(flags)
+        check_flags(flags, start)
+        return ColumnarTrace(
+            self.config.name, cpu, pid, types, address, flags, self.description
+        )
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        """The trace's references as records, decoded batch by batch."""
+        for batch in self.iter_columns():
+            yield from batch
+
+    def columnar(self) -> ColumnarTrace:
+        """Generate the whole trace as one :class:`ColumnarTrace`."""
+        (packed,) = self.iter_columns(batch=self.config.length)
+        return packed
 
     def build(self) -> Trace:
-        """Generate the full trace (deterministic for a given config)."""
-        config = self.config
-        return Trace(
-            name=config.name,
-            records=list(self.iter_records()),
-            description=config.description
-            or f"synthetic workload ({config.num_processes} processes)",
-        )
+        """Generate the full trace (deterministic for a given config).
+
+        The records are decoded from the generated columns, which the
+        trace keeps as its memoized packed form, so simulating it packs
+        nothing.
+        """
+        return self.columnar().to_trace()

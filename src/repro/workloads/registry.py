@@ -41,20 +41,25 @@ def workload_config(name: str, length: int = DEFAULT_LENGTH, **kwargs) -> Worklo
 
 def make_trace(name: str, length: int = DEFAULT_LENGTH, **kwargs) -> Trace:
     """Generate a named workload's trace."""
-    return SyntheticWorkload(workload_config(name, length=length, **kwargs)).build()
+    return stream_trace(name, length=length, **kwargs).build()
 
 
-def stream_trace(name: str, length: int = DEFAULT_LENGTH, **kwargs):
-    """Stream a named workload's records without materializing the trace.
+def stream_trace(
+    name: str, length: int = DEFAULT_LENGTH, **kwargs
+) -> SyntheticWorkload:
+    """A named workload's reference stream, generated on demand.
 
-    Yields exactly the records :func:`make_trace` would produce (the
-    generator is the same code path), so feeding the stream to
+    Returns the workload itself, not a trace: ``iter_columns()`` yields
+    bounded :class:`~repro.trace.columnar.ColumnarTrace` batches, and
+    iterating it yields records decoded from those batches.  Both hold
+    exactly the references :func:`make_trace` produces, since all come
+    from the one generator.  Feeding the stream to
     :func:`repro.store.write_stream` packs a ``.ctrc`` file whose
-    fingerprint matches the in-memory trace — at bounded memory for any
-    length.
+    fingerprint matches the in-memory trace straight from the columns,
+    without building a record, at bounded memory for any length.  Each
+    iteration regenerates the stream from the seed.
     """
-    workload = SyntheticWorkload(workload_config(name, length=length, **kwargs))
-    return workload.iter_records()
+    return SyntheticWorkload(workload_config(name, length=length, **kwargs))
 
 
 @lru_cache(maxsize=8)

@@ -149,6 +149,8 @@ class TestFabricMode:
                 if fabric.lease("crashy-worker", lease_s=0.2) is not None:
                     break
                 time.sleep(0.05)
+            else:
+                pytest.fail("the cell never became leasable within 30s")
             wait_terminal(job, timeout=60.0)
             assert job.state == "done"  # the job completes...
             assert job.cell_errors == 1  # ...with the cell failure contained

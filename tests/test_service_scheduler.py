@@ -93,13 +93,22 @@ def test_disk_cache_survives_scheduler_restart(tmp_path):
         second.shutdown(mode="drain", timeout=30.0)
 
 
-def test_job_level_dedup_returns_same_job(scheduler):
+def test_job_level_dedup_returns_same_job():
+    # Both submissions land before the workers start, so the first job
+    # is provably still queued when its twin arrives; a started
+    # scheduler can finish a small job between two submissions.
+    scheduler = Scheduler(workers=2, sim_jobs=1)
     spec = make_spec(dedup=True, traces=[{"workload": "thor", "length": 2000}])
     first, dedup_first = scheduler.submit(spec)
     second, dedup_second = scheduler.submit(spec)
-    assert not dedup_first and second is first and dedup_second
-    assert wait_for(lambda: first.finished)
-    assert scheduler.stats()["jobs"]["deduplicated"] == 1
+    scheduler.start()
+    try:
+        assert not dedup_first and second is first and dedup_second
+        assert wait_for(lambda: first.finished)
+        assert first.state == DONE
+        assert scheduler.stats()["jobs"]["deduplicated"] == 1
+    finally:
+        scheduler.shutdown(mode="drain", timeout=30.0)
 
 
 def test_trace_build_failure_poisons_only_its_cells(scheduler):

@@ -95,6 +95,8 @@ def test_sigterm_mid_sweep_checkpoints_and_restart_resumes(tmp_path):
         for event in client.stream_events(job_id):
             if event.get("type") == "cell":
                 break
+        else:
+            pytest.fail("the event stream ended before any cell landed")
         process.send_signal(signal.SIGTERM)
         assert wait_exit(process) == 0
     finally:
@@ -122,6 +124,8 @@ def test_sigterm_mid_sweep_checkpoints_and_restart_resumes(tmp_path):
             if status["state"] in ("done", "failed", "cancelled"):
                 break
             time.sleep(0.2)
+        else:
+            pytest.fail(f"job {job_id} still {status['state']} after 120s")
         assert status["state"] == "done"
         assert status["cells"]["checkpoint"] == completed
         assert status["cells"]["simulated"] == len(SCHEMES) - completed
@@ -164,6 +168,8 @@ def test_sigint_mid_sweep_takes_the_same_checkpoint_path(tmp_path):
         for event in client.stream_events(job_id):
             if event.get("type") == "cell":
                 break
+        else:
+            pytest.fail("the event stream ended before any cell landed")
         process.send_signal(signal.SIGINT)
         assert wait_exit(process) == 0
     finally:
