@@ -11,7 +11,11 @@ from repro.analysis.sensitivity import (
     overhead_model,
     crossover_q,
 )
-from repro.analysis.spinlocks import SpinLockImpact, spin_lock_impact
+from repro.analysis.spinlocks import (
+    SpinLockImpact,
+    spin_lock_impact,
+    spin_lock_impacts,
+)
 from repro.analysis.scalability import (
     BroadcastCostModel,
     broadcast_cost_model,
@@ -54,6 +58,7 @@ __all__ = [
     "crossover_q",
     "SpinLockImpact",
     "spin_lock_impact",
+    "spin_lock_impacts",
     "BroadcastCostModel",
     "broadcast_cost_model",
     "directory_storage_table",

@@ -4,7 +4,7 @@ The paper re-runs its simulations with the lock-test reads removed from
 the traces and finds Dir1NB improves from 0.32 to 0.12 bus cycles per
 reference (spins bounce lock blocks between caches under a single-copy
 scheme) while Dir0B is essentially unchanged (spins hit in the cache).
-:func:`spin_lock_impact` reproduces the experiment for any scheme.
+:func:`spin_lock_impacts` reproduces the experiment for any set of schemes.
 """
 
 from __future__ import annotations
@@ -49,6 +49,35 @@ def strip_spins(trace: Trace) -> Trace:
     )
 
 
+def spin_lock_impacts(
+    traces: Sequence[Trace],
+    schemes: Sequence[str],
+    bus: BusModel,
+    simulator: Simulator | None = None,
+) -> list[SpinLockImpact]:
+    """Run the Section 5.2 experiment for each of *schemes*.
+
+    Each trace is stripped of its spin reads once and the stripped
+    copies are shared by every scheme.
+    """
+    simulator = simulator or Simulator()
+    stripped = [strip_spins(trace) for trace in traces]
+    impacts = []
+    for scheme in schemes:
+        with_spins = merge_results(
+            [simulator.run(trace, scheme) for trace in traces]
+        ).bus_cycles_per_reference(bus)
+        without_spins = merge_results(
+            [simulator.run(trace, scheme) for trace in stripped]
+        ).bus_cycles_per_reference(bus)
+        impacts.append(
+            SpinLockImpact(
+                scheme=scheme, with_spins=with_spins, without_spins=without_spins
+            )
+        )
+    return impacts
+
+
 def spin_lock_impact(
     traces: Sequence[Trace],
     scheme: str,
@@ -56,13 +85,4 @@ def spin_lock_impact(
     simulator: Simulator | None = None,
 ) -> SpinLockImpact:
     """Run the Section 5.2 experiment for *scheme* over *traces*."""
-    simulator = simulator or Simulator()
-    with_spins = merge_results(
-        [simulator.run(trace, scheme) for trace in traces]
-    ).bus_cycles_per_reference(bus)
-    without_spins = merge_results(
-        [simulator.run(strip_spins(trace), scheme) for trace in traces]
-    ).bus_cycles_per_reference(bus)
-    return SpinLockImpact(
-        scheme=scheme, with_spins=with_spins, without_spins=without_spins
-    )
+    return spin_lock_impacts(traces, [scheme], bus, simulator)[0]

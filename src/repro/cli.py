@@ -624,8 +624,9 @@ def cmd_bench(args) -> int:
     pooled sweep at several worker counts (warmup + best-of-repeats),
     refreshes ``BENCH_throughput.json``, appends to
     ``BENCH_history.jsonl``, and exits nonzero when a headline metric
-    regresses more than ``--threshold`` below its rolling baseline (or
-    when ``--gate-scaling`` finds jobs=4 slower than jobs=1).
+    regresses more than ``--threshold`` below its rolling baseline, when
+    a serially timed scheme runs the generic loop instead of a kernel,
+    or when ``--gate-scaling`` finds jobs=4 slower than jobs=1.
     """
     import json as json_module
     from pathlib import Path
@@ -634,7 +635,7 @@ def cmd_bench(args) -> int:
 
     report = bench.build_report(
         length=args.length,
-        schemes=args.schemes,
+        schemes=args.schemes or bench.SERIAL_SCHEMES,
         jobs_list=tuple(args.jobs),
         repeats=args.repeats,
         warmup=args.warmup,
@@ -644,6 +645,7 @@ def cmd_bench(args) -> int:
     rows = [
         (
             scheme,
+            "kernel" if entry["kernel"] else "generic",
             entry["record_refs_per_sec"],
             entry["columnar_refs_per_sec"],
             entry["speedup_columnar_vs_record"],
@@ -651,7 +653,7 @@ def cmd_bench(args) -> int:
         for scheme, entry in report["schemes"].items()
     ]
     print(format_table(
-        ["scheme", "record refs/s", "columnar refs/s", "speedup"],
+        ["scheme", "path", "record refs/s", "columnar refs/s", "speedup"],
         rows,
         title=f"serial throughput ({args.length} refs, best of {args.repeats})",
     ))
@@ -722,7 +724,7 @@ def cmd_bench(args) -> int:
 
     history_path = Path(args.history)
     history = bench.load_history(history_path)
-    problems: list[str] = []
+    problems = bench.kernel_fallbacks(report)
     if not args.no_regression_gate:
         problems.extend(
             bench.find_regressions(report, history, threshold=args.threshold)
@@ -1205,8 +1207,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="records per synthetic trace (default 60000)",
     )
     bench.add_argument(
-        "--schemes", nargs="+",
-        default=["dir1nb", "wti", "dir0b", "dragon"], metavar="SCHEME",
+        "--schemes", nargs="+", default=None, metavar="SCHEME",
+        help="schemes timed serially (default: the hot four plus dirnnb, "
+        "dirib, dirinb and coarse-vector); each must run in a kernel",
     )
     bench.add_argument(
         "--jobs", nargs="+", type=int, default=[1, 2, 4], metavar="N",

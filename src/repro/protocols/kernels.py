@@ -3,13 +3,15 @@
 The generic columnar loop (``Simulator._run_columnar``) still pays
 per-reference *method dispatch*: every data reference walks
 ``on_read``/``on_write`` through cache-model calls, directory
-bookkeeping, and ``ProtocolResult`` construction.  For the four
-protocols that dominate sweeps — ``dir0b``, ``dir1nb``, ``wti``, and
-``dragon`` — the reachable state space under infinite caches is tiny,
-so each protocol's inner loop collapses to a handful of dict lookups
-over a **compact state encoding** plus a table of precomputed, shared
-:class:`ProtocolResult` instances keyed on (state, op, holder
-relation).
+bookkeeping, and ``ProtocolResult`` construction.  Eight protocols —
+the multi-copy directory family (``dir0b``, ``dirnnb``, ``dirib``,
+``dirinb``, ``coarse-vector``), ``dir1nb``, ``wti``, and ``dragon`` —
+have a tiny reachable state space under infinite caches, so each inner
+loop collapses to a handful of dict lookups over a **compact state
+encoding** plus a table of precomputed, shared :class:`ProtocolResult`
+instances keyed on (state, op, holder relation).  The five family
+members share one kernel: they run the same data state machine and
+differ only in the invalidation rule the table is filled from.
 
 Each kernel is split into three stages so chunk-streamed simulation
 (:mod:`repro.store`) can amortize the expensive ends:
@@ -49,14 +51,30 @@ A kernel is an alternative *evaluator*, not an alternative *model*:
 * event classification, bus-op tuples, ``clean_write_sharers``
   populations, and the identity-batched accumulation replicate the
   generic path decision for decision, so results are bit-identical
-  (``tests/test_kernel_differential.py`` holds this per protocol, and
+  (``tests/test_kernel_differential.py`` and
+  ``tests/test_kernel_family.py`` hold this per protocol, and
   the engine-parity / ``repro verify`` suites hold it end to end).
 
 State encodings (all under infinite caches):
 
-* ``dir0b`` — per block: a holder bitmask plus an optional dirty
-  owner.  The two-bit directory state is a pure function of these
-  (popcount 0/1/many, owner present or not).
+* the multi-copy directory family — per block: a holder bitmask plus an
+  optional dirty owner, and per organization:
+
+  - ``dir0b``: nothing more; the two-bit directory state is a pure
+    function of (mask, owner) (popcount 0/1/many, owner or not);
+  - ``dirnnb`` (full map or Tang): nothing more; the presence bits are
+    the mask;
+  - ``dirib`` / ``dirinb``: the pointer join order, kept only for blocks
+    with two or more exact pointers (it decides FIFO/LIFO victims and
+    the exported pointer lists); the ``dirib`` broadcast bit is
+    ``popcount(mask) > i``, since copies only leave on a write;
+  - ``coarse-vector``: nothing more; the stored code is always
+    ``CoarseVector.encode(holders)``, so the denoted set is memoized
+    per mask and wasted messages are denoted minus holders minus the
+    requester.
+
+  Hits never consult the organization; misses and clean write hits
+  look up outcomes interned per (holder mask, requester).
 * ``dir1nb`` — per block: ``(holder << 1) | dirty`` — at most one
   cache ever holds a block.
 * ``wti`` — per block: a holder bitmask (write-through caches are
@@ -65,16 +83,20 @@ State encodings (all under infinite caches):
   the four Dragon line states are derived (sole holder: VE, or D when
   owning; shared: SC with the owner SD).
 
+Every directory protocol's importer bails when the protocol bounds its
+directory (``dir_capacity``): recalls stay on the generic path.
+
 Finite-capacity kernels
 -----------------------
 
-The same four protocols also have **capacity-aware** kernels that
-engage when every cache is exactly a :class:`FiniteCache` of one shared
-geometry (and no directory-entry bound is set — recalls stay on the
-generic path).  They keep, per cache, compact LRU stacks over the
-integer encodings: one plain dict per cache set whose insertion order
-is the set's LRU order (oldest first), exactly mirroring the
-``OrderedDict`` sets of :class:`FiniteCache`.  Replacement picks
+``dir0b``, ``dir1nb``, ``wti`` and ``dragon`` also have
+**capacity-aware** kernels that engage when every cache is exactly a
+:class:`FiniteCache` of one shared geometry (and no directory-entry
+bound is set — recalls stay on the generic path).  They keep, per
+cache, compact LRU stacks over the integer encodings: one plain dict
+per cache set whose insertion order is the set's LRU order (oldest
+first), exactly mirroring the ``OrderedDict`` sets of
+:class:`FiniteCache`.  Replacement picks
 ``next(iter(set_dict))``; a touch is delete-and-reinsert.  Because a
 reference installs at most one line, a replacement adds at most one
 trailing bus op to an infinite-model outcome — memoized as the
@@ -96,15 +118,24 @@ from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.memory.cache import FiniteCache, InfiniteCache
+from repro.memory.coding import CoarseVector
 from repro.memory.directory import (
+    CoarseVectorDirectory,
+    FullMapDirectory,
     LimitedPointerDirectory,
+    PointerEvictionPolicy,
+    TangDirectory,
     TwoBitDirectory,
     TwoBitState,
+    _FullMapEntry,
     _PointerEntry,
 )
 from repro.memory.line import DragonLineState, LineState
+from repro.protocols.directory.coarse import CoarseVectorProtocol
 from repro.protocols.directory.dir0b import Dir0BProtocol
 from repro.protocols.directory.dir1nb import Dir1NBProtocol
+from repro.protocols.directory.diri import DirIBProtocol, DirINBProtocol
+from repro.protocols.directory.dirnnb import DirNNBProtocol
 from repro.protocols.events import (
     RESULT_RD_HIT,
     RESULT_WH_BLK_DRTY,
@@ -133,11 +164,12 @@ from repro.trace.columnar import TYPE_READ, ColumnarTrace
 _RM_FIRST = ProtocolResult(EventType.RM_FIRST_REF)
 _WM_FIRST = ProtocolResult(EventType.WM_FIRST_REF)
 
-# dir0b (two-bit broadcast directory, multicopy state machine)
-_D0_RM_DRTY = ProtocolResult(
+# The multi-copy directory family's read misses (every organization),
+# then dir0b's finite-kernel outcomes (two-bit broadcast directory).
+_MC_RM_DRTY = ProtocolResult(
     EventType.RM_BLK_DRTY, (dir_check_overlapped(), write_back())
 )
-_D0_RM_CLN = ProtocolResult(
+_MC_RM_CLN = ProtocolResult(
     EventType.RM_BLK_CLN, (dir_check_overlapped(), mem_access())
 )
 _D0_WM_DRTY = ProtocolResult(
@@ -286,8 +318,14 @@ def flush_batches(
 
 
 # ----------------------------------------------------------------------
-# dir0b
+# The multi-copy directory family: dir0b, dirnnb, dirib, dirinb, coarse
 # ----------------------------------------------------------------------
+#
+# Every MultiCopyDirectoryProtocol runs one data state machine over
+# (holder bitmask, dirty owner); the organizations differ only in what
+# an invalidation costs (the plan) and, for limited pointers, in the
+# pointer order a DiriNB read miss evicts from.  Outcomes are interned
+# per (organization, machine size) and keyed on (holders, requester).
 
 
 def _import_masked(
@@ -323,10 +361,337 @@ def _import_masked(
     return mask, owner
 
 
-def _import_dir0b(protocol: Any, context: Any) -> dict[str, Any] | None:
+_NB_RM_CLN = ProtocolResult(
+    EventType.RM_BLK_CLN,
+    (dir_check_overlapped(), mem_access(), invalidate(1)),
+    pointer_evictions=1,
+)
+_NB_RM_DRTY = ProtocolResult(
+    EventType.RM_BLK_DRTY,
+    (dir_check_overlapped(), write_back(), invalidate(1)),
+    pointer_evictions=1,
+)
+_BROADCAST = (broadcast_invalidate(),)
+#: Every family outcome built so far, interned by value so equal
+#: outcomes share one instance (and one identity batch) across keys.
+_FAMILY_OUTCOMES: dict[ProtocolResult, ProtocolResult] = {}
+
+
+def _members(held: int) -> list[int]:
+    """Cache indices in a holder bitmask, lowest first."""
+    found = []
+    while held:
+        low = held & -held
+        found.append(low.bit_length() - 1)
+        held ^= low
+    return found
+
+
+def _sequential(others: int) -> tuple[tuple, int]:
+    """Point-to-point invalidations of every cache in *others*."""
+    count = others.bit_count()
+    return ((invalidate(count),) if count else ()), 0
+
+
+class _Organization:
+    """One directory organization as the family kernel sees it.
+
+    ``plan(held, cache)`` is the invalidation rule: the bus ops and
+    wasted-message count of invalidating every copy in *held* except
+    *cache*'s.  The write-hit and write-miss ``tables`` memoize its
+    outcomes for one session, keyed ``(held << cbits) | cache``.
+    ``read_miss`` is None unless the organization keeps pointer order
+    (then it also owns the holder-mask update).  ``adopt`` cross-checks
+    the live directory against (mask, owner) and takes over any extra
+    state; ``export`` rebuilds the directory.
+    """
+
+    read_miss: Callable | None = None
+
+    def __init__(self, directory: Any, num_caches: int) -> None:
+        self.directory = directory
+        self.cbits = max(1, (num_caches - 1).bit_length())
+        self.tables: tuple[dict[int, ProtocolResult], ...] = ({}, {})
+        # A dirty owner is the sole holder, so every plan sees one copy.
+        self.wm_drty = self._intern(
+            EventType.WM_BLK_DRTY,
+            (dir_check_overlapped(),) + self.plan(1, 1)[0] + (write_back(),),
+        )
+
+    @staticmethod
+    def _intern(event: EventType, ops: tuple, **fields: int) -> ProtocolResult:
+        outcome = ProtocolResult(event, ops, **fields)
+        return _FAMILY_OUTCOMES.setdefault(outcome, outcome)
+
+    def plan(self, held: int, cache: int) -> tuple[tuple, int]:
+        return _sequential(held & ~(1 << cache))
+
+    def write_hit(self, held: int, cache: int) -> ProtocolResult:
+        ops, wasted = self.plan(held, cache)
+        outcome = self._intern(
+            EventType.WH_BLK_CLN,
+            (dir_check(),) + ops,
+            clean_write_sharers=(held & ~(1 << cache)).bit_count(),
+            wasted_invalidations=wasted,
+        )
+        self.tables[0][(held << self.cbits) | cache] = outcome
+        return outcome
+
+    def write_miss(self, held: int, cache: int) -> ProtocolResult:
+        ops, wasted = self.plan(held, cache)
+        outcome = self._intern(
+            EventType.WM_BLK_CLN,
+            (dir_check_overlapped(), mem_access()) + ops,
+            clean_write_sharers=held.bit_count(),
+            wasted_invalidations=wasted,
+        )
+        self.tables[1][(held << self.cbits) | cache] = outcome
+        return outcome
+
+
+class _TwoBit(_Organization):
+    """Dir0B: broadcast whenever another cache may hold the block; the
+    two-bit state is a pure function of (mask, owner)."""
+
+    def plan(self, held: int, cache: int) -> tuple[tuple, int]:
+        return (_BROADCAST if held & ~(1 << cache) else ()), 0
+
+    def adopt(self, mask: dict, owner: dict) -> bool:
+        states = self.directory._states
+        if states.keys() != mask.keys():
+            return False
+        for block, held in mask.items():
+            if block in owner:
+                expected = TwoBitState.DIRTY_ONE
+            elif held & (held - 1) == 0:
+                expected = TwoBitState.CLEAN_ONE
+            else:
+                expected = TwoBitState.CLEAN_MANY
+            if states[block] is not expected:
+                return False
+        return True
+
+    def export(self, mask: dict, owner: dict) -> None:
+        clean_one = TwoBitState.CLEAN_ONE
+        clean_many = TwoBitState.CLEAN_MANY
+        dirty_one = TwoBitState.DIRTY_ONE
+        self.directory._states = {
+            block: dirty_one if block in owner
+            else clean_one if held & (held - 1) == 0
+            else clean_many
+            for block, held in mask.items()
+        }
+
+
+class _FullMap(_Organization):
+    """DirnNB (full map or Tang): exact holder sets, sequential messages."""
+
+    def adopt(self, mask: dict, owner: dict) -> bool:
+        entries = self.directory._entries
+        if entries.keys() != mask.keys():
+            return False
+        for block, held in mask.items():
+            stored = entries[block]
+            if stored.dirty != (block in owner):
+                return False
+            if stored.holders != set(_members(held)):
+                return False
+        return True
+
+    def export(self, mask: dict, owner: dict) -> None:
+        self.directory._entries = {
+            block: _FullMapEntry(dirty=block in owner, holders=set(_members(held)))
+            for block, held in mask.items()
+        }
+
+
+class _LimitedPointers(_Organization):
+    """DiriB / DiriNB: *i* pointers kept in join order.
+
+    Under infinite caches the pointers are exactly the holders, in the
+    order they joined, until a DiriB block overflows (more than *i*
+    holders, broadcast bit set).  ``order`` holds that join order only
+    for blocks with two or more exact pointers; a single holder is its
+    own order.  DiriNB read misses at *i* holders first evict the
+    policy's victim (FIFO oldest, LIFO newest, or lowest index).
+    """
+
+    def __init__(self, directory: Any, num_caches: int) -> None:
+        self.pointers = directory.num_pointers
+        self.broadcast_bit = directory.broadcast_bit
+        self.policy = directory.eviction_policy
+        super().__init__(directory, num_caches)
+        self.order: dict[int, tuple[int, ...]] = {}
+        self.read_miss = (
+            self._read_miss_b if self.broadcast_bit else self._read_miss_nb
+        )
+
+    def plan(self, held: int, cache: int) -> tuple[tuple, int]:
+        if self.broadcast_bit and held.bit_count() > self.pointers:
+            return _BROADCAST, 0
+        return _sequential(held & ~(1 << cache))
+
+    def _read_miss_b(self, block: int, cache: int, held: int) -> ProtocolResult:
+        outcome = _MC_RM_CLN if self.owner.pop(block, None) is None else _MC_RM_DRTY
+        joined = held | (1 << cache)
+        self.mask[block] = joined
+        if held and joined.bit_count() <= self.pointers:
+            prior = self.order.get(block) or (held.bit_length() - 1,)
+            self.order[block] = prior + (cache,)
+        else:
+            # First copy, or an overflow that sets the broadcast bit.
+            self.order.pop(block, None)
+        return outcome
+
+    def _read_miss_nb(self, block: int, cache: int, held: int) -> ProtocolResult:
+        dirty = self.owner.pop(block, None) is not None
+        outcome = _MC_RM_DRTY if dirty else _MC_RM_CLN
+        if held:
+            prior = self.order.get(block) or (held.bit_length() - 1,)
+            if len(prior) >= self.pointers:
+                policy = self.policy
+                if policy is PointerEvictionPolicy.FIFO:
+                    victim, prior = prior[0], prior[1:]
+                elif policy is PointerEvictionPolicy.LIFO:
+                    victim, prior = prior[-1], prior[:-1]
+                else:
+                    victim = min(prior)
+                    prior = tuple(index for index in prior if index != victim)
+                held ^= 1 << victim
+                outcome = _NB_RM_DRTY if dirty else _NB_RM_CLN
+            if prior:
+                self.order[block] = prior + (cache,)
+            else:
+                self.order.pop(block, None)
+        self.mask[block] = held | (1 << cache)
+        return outcome
+
+    def adopt(self, mask: dict, owner: dict) -> bool:
+        entries = self.directory._entries
+        if entries.keys() != mask.keys():
+            return False
+        self.mask = mask
+        self.owner = owner
+        for block, held in mask.items():
+            stored = entries[block]
+            count = held.bit_count()
+            if stored.dirty != (block in owner):
+                return False
+            if self.broadcast_bit and count > self.pointers:
+                if not stored.broadcast or stored.pointers:
+                    return False
+                continue
+            pointers = stored.pointers
+            if stored.broadcast or len(pointers) != count:
+                return False
+            if count > self.pointers or set(pointers) != set(_members(held)):
+                return False
+            if count > 1:
+                self.order[block] = tuple(pointers)
+        return True
+
+    def export(self, mask: dict, owner: dict) -> None:
+        order = self.order
+        entries: dict[int, _PointerEntry] = {}
+        for block, held in mask.items():
+            if self.broadcast_bit and held.bit_count() > self.pointers:
+                entries[block] = _PointerEntry(broadcast=True)
+                continue
+            pointers = order.get(block) or (held.bit_length() - 1,)
+            entries[block] = _PointerEntry(
+                dirty=block in owner, pointers=list(pointers)
+            )
+        self.directory._entries = entries
+
+
+class _Coarse(_Organization):
+    """Coarse vector: under infinite caches the stored code is always
+    ``CoarseVector.encode(holders)``, so the denoted set is a memoized
+    function of the holder mask; messages to denoted non-holders are
+    wasted."""
+
+    def __init__(self, directory: Any, num_caches: int) -> None:
+        self.num_caches = num_caches
+        self.denoted: dict[int, int] = {}
+        self.codes: dict[int, CoarseVector] = {}
+        super().__init__(directory, num_caches)
+
+    def _denoted(self, held: int) -> int:
+        denoted = self.denoted.get(held)
+        if denoted is None:
+            indices = _members(held)
+            agree = common = indices[0]
+            for index in indices[1:]:
+                agree &= index
+                common |= index
+            free = agree ^ common  # digits the holders disagree on: BOTH
+            denoted = 0
+            subset = free
+            while True:
+                denoted |= 1 << (agree | subset)
+                if not subset:
+                    break
+                subset = (subset - 1) & free
+            self.denoted[held] = denoted
+        return denoted
+
+    def _code(self, held: int) -> CoarseVector:
+        code = self.codes.get(held)
+        if code is None:
+            code = CoarseVector.encode(self.num_caches, _members(held))
+            self.codes[held] = code
+        return code
+
+    def plan(self, held: int, cache: int) -> tuple[tuple, int]:
+        targets = self._denoted(held) & ~(1 << cache) if held else 0
+        count = targets.bit_count()
+        if not count:
+            return (), 0
+        return (invalidate(count),), (targets & ~held).bit_count()
+
+    def adopt(self, mask: dict, owner: dict) -> bool:
+        directory = self.directory
+        codes = directory._codes
+        dirty = directory._dirty
+        sharers = directory._true_sharers
+        if not codes.keys() == dirty.keys() == sharers.keys() == mask.keys():
+            return False
+        for block, held in mask.items():
+            if dirty[block] != (block in owner) or codes[block] != self._code(held):
+                return False
+            if sharers[block] != set(_members(held)):
+                return False
+        return True
+
+    def export(self, mask: dict, owner: dict) -> None:
+        directory = self.directory
+        directory._codes = {block: self._code(held) for block, held in mask.items()}
+        directory._dirty = {block: block in owner for block in mask}
+        directory._true_sharers = {
+            block: set(_members(held)) for block, held in mask.items()
+        }
+
+
+#: Exact protocol type -> (accepted exact directory types, organization).
+_FAMILY: dict[type, tuple[tuple[type, ...], type]] = {
+    Dir0BProtocol: ((TwoBitDirectory,), _TwoBit),
+    DirNNBProtocol: ((FullMapDirectory, TangDirectory), _FullMap),
+    DirIBProtocol: ((LimitedPointerDirectory,), _LimitedPointers),
+    DirINBProtocol: ((LimitedPointerDirectory,), _LimitedPointers),
+    CoarseVectorProtocol: ((CoarseVectorDirectory,), _Coarse),
+}
+
+
+def _import_multicopy(protocol: Any, context: Any) -> dict[str, Any] | None:
+    if protocol.dir_capacity is not None:
+        return None  # directory recalls stay on the generic path
     directory = protocol._directory
-    if type(directory) is not TwoBitDirectory:
+    accepted, organization = _FAMILY[type(protocol)]
+    if type(directory) not in accepted:
         return None
+    num_caches = protocol.num_caches
+    if organization is _Coarse and num_caches < 2:
+        return None  # the object model raises on its first reference
     lines = _infinite_lines(protocol)
     if lines is None:
         return None
@@ -334,27 +699,13 @@ def _import_dir0b(protocol: Any, context: Any) -> dict[str, Any] | None:
     if imported is None:
         return None
     mask, owner = imported
-
-    # The two-bit state must be exactly the function of (mask, owner)
-    # the object model maintains; otherwise transitions would diverge.
-    states = directory._states
-    not_cached = TwoBitState.NOT_CACHED
-    for block in mask.keys() | states.keys():
-        held = mask.get(block, 0)
-        if block in owner:
-            expected = TwoBitState.DIRTY_ONE
-        elif held == 0:
-            expected = not_cached
-        elif held & (held - 1) == 0:
-            expected = TwoBitState.CLEAN_ONE
-        else:
-            expected = TwoBitState.CLEAN_MANY
-        if states.get(block, not_cached) is not expected:
-            return None
-    return {"mask": mask, "owner": owner}
+    org = organization(directory, num_caches)
+    if not org.adopt(mask, owner):
+        return None
+    return {"mask": mask, "owner": owner, "org": org}
 
 
-def _loop_dir0b(
+def _loop_multicopy(
     simulator: Any,
     trace: ColumnarTrace,
     protocol: Any,
@@ -366,6 +717,15 @@ def _loop_dir0b(
 ) -> tuple[ProtocolResult | None, int, int]:
     mask = state["mask"]
     owner = state["owner"]
+    org = state["org"]
+    wh_get = org.tables[0].get
+    wm_get = org.tables[1].get
+    write_hit = org.write_hit
+    write_miss = org.write_miss
+    wm_drty = org.wm_drty
+    read_miss = org.read_miss
+    order_pop = org.order.pop if read_miss is not None else None
+    cbits = org.cbits
     instr_count, type_codes, sharer_col, addresses = trace.data_view(
         simulator.sharer_key
     )
@@ -376,8 +736,6 @@ def _loop_dir0b(
     shift = simulator.block_mapper.offset_bits
     limit = protocol.num_caches
     mask_get = mask.get
-    wh_cln = _D0_WH_CLN.get
-    wm_cln = _D0_WM_CLN.get
     read = TYPE_READ
     pending_get = pending.get
 
@@ -402,10 +760,11 @@ def _loop_dir0b(
             elif first:
                 outcome = _RM_FIRST
                 mask[block] = bit
+            elif read_miss is not None:
+                outcome = read_miss(block, cache, held)
             else:
-                own = owner.pop(block, None)
                 # A dirty owner writes back and keeps a clean copy.
-                outcome = _D0_RM_CLN if own is None else _D0_RM_DRTY
+                outcome = _MC_RM_CLN if owner.pop(block, None) is None else _MC_RM_DRTY
                 mask[block] = held | bit
         else:
             if held & bit:
@@ -413,24 +772,21 @@ def _loop_dir0b(
                     # Sole-holder invariant: the owner is this cache.
                     outcome = RESULT_WH_BLK_DRTY
                 else:
-                    n_others = (held & ~bit).bit_count()
-                    if n_others == 0:
-                        outcome = _D0_WH_SOLE
-                    else:
-                        outcome = wh_cln(n_others) or _d0_wh_cln(n_others)
+                    outcome = wh_get((held << cbits) | cache) or write_hit(held, cache)
                     mask[block] = bit
                     owner[block] = cache
+                    if order_pop is not None:
+                        order_pop(block, None)
             else:
                 if first:
                     outcome = _WM_FIRST
                 elif block in owner:
                     del owner[block]
-                    outcome = _D0_WM_DRTY
-                elif held:
-                    n_holders = held.bit_count()
-                    outcome = wm_cln(n_holders) or _d0_wm_cln(n_holders)
+                    outcome = wm_drty
                 else:
-                    outcome = _D0_WM_ALONE
+                    outcome = wm_get((held << cbits) | cache) or write_miss(held, cache)
+                    if order_pop is not None:
+                        order_pop(block, None)
                 mask[block] = bit
                 owner[block] = cache
         if outcome is previous:
@@ -449,33 +805,22 @@ def _loop_dir0b(
     return previous, run_length, instr_count
 
 
-def _export_dir0b(protocol: Any, state: dict[str, Any]) -> None:
-    # Export: rebuild each cache's lines and the directory states from
-    # the compact encoding (the exact inverse of the import mapping).
+def _export_multicopy(protocol: Any, state: dict[str, Any]) -> None:
     mask = state["mask"]
     owner = state["owner"]
     new_lines: list[dict] = [{} for _ in protocol._caches]
-    new_states: dict[int, TwoBitState] = {}
     clean = LineState.CLEAN
+    dirty = LineState.DIRTY
     for block, held in mask.items():
         own = owner.get(block)
         if own is not None:
-            new_lines[own][block] = LineState.DIRTY
-            new_states[block] = TwoBitState.DIRTY_ONE
+            new_lines[own][block] = dirty
         else:
-            count = 0
-            remaining = held
-            while remaining:
-                low = remaining & -remaining
-                new_lines[low.bit_length() - 1][block] = clean
-                remaining ^= low
-                count += 1
-            new_states[block] = (
-                TwoBitState.CLEAN_ONE if count == 1 else TwoBitState.CLEAN_MANY
-            )
+            for index in _members(held):
+                new_lines[index][block] = clean
     for cache, cache_lines in zip(protocol._caches, new_lines):
         cache._lines = cache_lines
-    protocol._directory._states = new_states
+    state["org"].export(mask, owner)
 
 
 # ----------------------------------------------------------------------
@@ -484,6 +829,8 @@ def _export_dir0b(protocol: Any, state: dict[str, Any]) -> None:
 
 
 def _import_dir1nb(protocol: Any, context: Any) -> dict[str, Any] | None:
+    if protocol.dir_capacity is not None:
+        return None  # directory recalls stay on the generic path
     directory = protocol._directory
     if (
         type(directory) is not LimitedPointerDirectory
@@ -1104,9 +1451,9 @@ def _loop_dir0b_finite(
                         own_set = sets[own][block & set_mask]
                         del own_set[block]
                         own_set[block] = None
-                        base = _D0_RM_DRTY
+                        base = _MC_RM_DRTY
                     else:
-                        base = _D0_RM_CLN
+                        base = _MC_RM_CLN
                 wrote_back = len(line_set) >= assoc and spill(cache, bit, line_set)
                 line_set[block] = None
                 mask[block] = held | bit
@@ -1774,8 +2121,12 @@ def _export_dragon_finite(protocol: Any, state: dict[str, Any]) -> None:
 #: identity on purpose: subclasses (and wrappers) take the generic
 #: object-model path.
 _KERNELS: dict[type, tuple[Callable, Callable, Callable]] = {
-    Dir0BProtocol: (_import_dir0b, _loop_dir0b, _export_dir0b),
+    Dir0BProtocol: (_import_multicopy, _loop_multicopy, _export_multicopy),
     Dir1NBProtocol: (_import_dir1nb, _loop_dir1nb, _export_dir1nb),
+    DirNNBProtocol: (_import_multicopy, _loop_multicopy, _export_multicopy),
+    DirIBProtocol: (_import_multicopy, _loop_multicopy, _export_multicopy),
+    DirINBProtocol: (_import_multicopy, _loop_multicopy, _export_multicopy),
+    CoarseVectorProtocol: (_import_multicopy, _loop_multicopy, _export_multicopy),
     WTIProtocol: (_import_wti, _loop_wti, _export_wti),
     DragonProtocol: (_import_dragon, _loop_dragon, _export_dragon),
 }

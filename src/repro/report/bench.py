@@ -16,6 +16,9 @@ observed — across commits:
   rolling baseline (the median of the last few history records); any
   metric more than ``threshold`` below its baseline fails the run,
   which is what CI hooks into;
+* **path gate** — every scheme timed under ``columnar.*`` must open a
+  state-table kernel session; a silent fall back to the generic loop
+  fails the run instead of only showing up as a slower number;
 * **scaling gate** — optionally require pooled ``--jobs 4`` throughput
   to meet ``--jobs 1``, guarding the parallel dispatch path against
   regressions that serial numbers cannot see.  The gate is core-aware:
@@ -34,7 +37,12 @@ from pathlib import Path
 from statistics import median
 from typing import Any, Callable, Sequence
 
+#: The hot four: the pooled seed anchor's composition, and the schemes
+#: with capacity-aware (finite) kernels.
 DEFAULT_SCHEMES = ("dir1nb", "wti", "dir0b", "dragon")
+#: Every scheme timed serially (``columnar.*`` and ``streaming.*``): the
+#: hot four plus the rest of the multi-copy directory family kernel.
+SERIAL_SCHEMES = DEFAULT_SCHEMES + ("dirnnb", "dirib", "dirinb", "coarse-vector")
 DEFAULT_JOBS = (1, 2, 4)
 DEFAULT_LENGTH = 60_000
 DEFAULT_REPEATS = 3
@@ -87,9 +95,12 @@ def measure_schemes(
 
     The record side is the reference per-record loop
     (``Simulator._run_records``), which ``Simulator.run`` no longer
-    takes for any input.
+    takes for any input.  ``kernel`` records whether the columnar run
+    opens a state-table kernel session (False: the generic loop).
     """
-    from repro.core.simulator import Simulator
+    from repro.core.result import SimulationResult
+    from repro.core.simulator import SimulationContext, Simulator
+    from repro.protocols.kernels import open_kernel_session
     from repro.trace.columnar import ColumnarTrace
 
     simulator = Simulator()
@@ -106,7 +117,15 @@ def measure_schemes(
         columnar_s = _best_seconds(
             lambda s=scheme: simulator.run(columnar, s), repeats, warmup
         )
+        protocol = simulator._resolve_protocol(scheme, columnar, None, {})
+        session = open_kernel_session(
+            simulator,
+            protocol,
+            SimulationResult(scheme=protocol.name, trace_name=columnar.name),
+            SimulationContext(),
+        )
         entry: dict[str, Any] = {
+            "kernel": session is not None,
             "record_refs_per_sec": round(refs / record_s),
             "columnar_refs_per_sec": round(refs / columnar_s),
             "speedup_columnar_vs_record": round(record_s / columnar_s, 2),
@@ -282,7 +301,7 @@ def measure_generation(
 
 def build_report(
     length: int = DEFAULT_LENGTH,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
+    schemes: Sequence[str] = SERIAL_SCHEMES,
     jobs_list: Sequence[int] = DEFAULT_JOBS,
     repeats: int = DEFAULT_REPEATS,
     warmup: int = DEFAULT_WARMUP,
@@ -297,7 +316,8 @@ def build_report(
     thor) so ``speedup_vs_seed_pooled`` is apples-to-apples.  A second
     ``parallel_sweep_full_roster`` section sweeps **every** registered
     protocol — the realistic paper sweep mixing kernel-fast cells with
-    object-model ones — as context, not as a gated metric.
+    object-model ones — as context, not as a gated metric.  The finite
+    section times only the hot four, the schemes with finite kernels.
     """
     from repro.protocols.registry import available_protocols
     from repro.workloads.registry import make_trace
@@ -323,7 +343,12 @@ def build_report(
         "seed_record_refs_per_sec": dict(SEED_RECORD_REFS_PER_SEC),
         "seed_pooled_refs_per_sec": SEED_POOLED_REFS_PER_SEC,
         "schemes": measure_schemes(pops, schemes, repeats, warmup),
-        "finite": measure_finite(pops, schemes, repeats=repeats, warmup=warmup),
+        "finite": measure_finite(
+            pops,
+            [scheme for scheme in schemes if scheme in DEFAULT_SCHEMES],
+            repeats=repeats,
+            warmup=warmup,
+        ),
         "streaming": measure_streaming(pops, schemes, repeats, warmup),
         "generation": measure_generation(length, repeats, warmup),
         "parallel_sweep": sweep,
@@ -439,6 +464,16 @@ def find_regressions(
                 f"baseline {baseline:,.0f}"
             )
     return regressions
+
+
+def kernel_fallbacks(report: dict[str, Any]) -> list[str]:
+    """Schemes timed under ``columnar.*`` that ran the generic loop."""
+    return [
+        f"columnar.{scheme}.refs_per_sec timed the generic columnar loop: "
+        f"no kernel session opened for {scheme}"
+        for scheme, entry in report.get("schemes", {}).items()
+        if not entry.get("kernel", True)
+    ]
 
 
 def finite_kernel_violations(

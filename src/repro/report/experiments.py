@@ -24,7 +24,7 @@ from repro.analysis.scalability import (
     pointer_sweep,
 )
 from repro.analysis.sensitivity import overhead_model
-from repro.analysis.spinlocks import spin_lock_impact
+from repro.analysis.spinlocks import spin_lock_impacts
 from repro.analysis.system import effective_processor_bound
 from repro.analysis.transactions import transaction_costs
 from repro.core.experiment import Experiment, ExperimentResult
@@ -374,10 +374,9 @@ class PaperExperiments:
 
     def section52(self, schemes=("dir1nb", "dir0b")) -> Artifact:
         """Section 5.2: spin-lock impact experiment."""
-        impacts = [
-            spin_lock_impact(self.traces, scheme, self.pipelined, self.simulator)
-            for scheme in schemes
-        ]
+        impacts = spin_lock_impacts(
+            self.traces, schemes, self.pipelined, self.simulator
+        )
         rows = [
             (
                 _SCHEME_TITLES.get(impact.scheme, impact.scheme),

@@ -69,7 +69,7 @@ def test_kernel_engages_for_stock_protocol(columnar, scheme):
 
 
 def test_no_kernel_for_other_protocols():
-    for scheme in ("dirnnb", "dirib", "coarse-vector", "write-once", "illinois"):
+    for scheme in ("adaptive", "berkeley", "illinois", "write-once", "yenfu"):
         protocol = make_protocol(scheme, num_caches=4)
         assert not has_kernel(protocol)
         assert (
